@@ -12,7 +12,9 @@
 #include <tuple>
 
 #include "lattice/core/engine.hpp"
+#include "lattice/fault/memory_guard.hpp"
 #include "lattice/lgca3d/plane_kernel3.hpp"
+#include "lattice/obs/metrics.hpp"
 
 namespace lattice::core {
 namespace {
@@ -150,10 +152,98 @@ TEST(Fault3, ThreadCountDoesNotChangeTheFaultSet) {
   team.advance(64);
   EXPECT_EQ(solo.fault_counters().injected(),
             team.fault_counters().injected())
-      << "faults key on global (x, y, z), never on the z-band split";
+      << "faults key on global (x, y, z); this volume runs one band, so "
+         "GuardedRunnersAreBandAndLaneCountInvariant covers the split";
   EXPECT_EQ(solo.fault_counters().detected(),
             team.fault_counters().detected());
   EXPECT_TRUE(solo.state() == team.state());
+}
+
+// ---- the runners' hook paths, driven directly ----
+
+struct Guarded3 {
+  fault::FaultCounters counters;
+  lgca::SiteLattice state;
+  std::int64_t bands = -1;  // bitplane.bands / bitplane.tiles after the run
+  std::int64_t tiles = -1;
+};
+
+// What the engine hands a BitPlane3 pass: the flat {nx, ny*nz} bytes
+// of a seeded periodic volume, under a plan that arms every
+// plane-memory source and every detector.
+template <typename Run>
+Guarded3 run_guarded3(const lgca3d::Extent3& ext, const Run& run) {
+  fault::FaultPlan plan;
+  plan.seed = 99;
+  plan.plane_flip_rate = 0.01;
+  plan.halo_flip_rate = 0.05;
+  plan.parity_plane = true;
+  plan.stuck_planes.push_back({1, 10, 0x0F, ~std::uint64_t{0}});
+  fault::FaultInjector inj(plan);
+  fault::PlaneMemoryGuard guard(inj);
+  lgca3d::Lattice3 vol(ext, lgca3d::Boundary3::Periodic);
+  lgca3d::fill_random(vol, 0.3, 53);
+  Guarded3 r{fault::FaultCounters{},
+             lgca::SiteLattice(lgca3d::flat_extent(ext),
+                               lgca::Boundary::Periodic)};
+  std::memcpy(r.state.grid().data(), vol.data(), vol.site_count());
+  obs::MetricsRegistry::global().reset();
+  run(r.state, &guard);
+  r.counters = inj.counters();
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  r.bands = snap.gauge_or("bitplane.bands", -1);
+  r.tiles = snap.gauge_or("bitplane.tiles", -1);
+  return r;
+}
+
+void expect_same_run(const Guarded3& a, const Guarded3& b) {
+  EXPECT_EQ(a.counters.injected_plane, b.counters.injected_plane);
+  EXPECT_EQ(a.counters.injected_stuck, b.counters.injected_stuck);
+  EXPECT_EQ(a.counters.detected_ledger, b.counters.detected_ledger);
+  EXPECT_EQ(a.counters.detected_canary, b.counters.detected_canary);
+  EXPECT_EQ(a.counters.detected_shadow, b.counters.detected_shadow);
+  EXPECT_TRUE(a.state == b.state);
+}
+
+TEST(Fault3, GuardedRunnersAreBandAndLaneCountInvariant) {
+  // Faults key on global (x, y, z) and the detectors are per row, so
+  // neither the z-slab band split (per-generation hooks, injection
+  // barrier) nor the tile-to-lane split (block hooks from lane 0) may
+  // change a counter or the corrupted evolution. A one-word grain
+  // forces four bands on a volume far below the default grain.
+  const lgca3d::Extent3 ext{100, 6, 8};
+  const auto banded = [&](unsigned threads) {
+    return run_guarded3(ext, [&](lgca::SiteLattice& s,
+                                 lgca::PlaneRunHooks* hooks) {
+      lgca3d::bitplane_gas_run3(s, ext, 24, 0, threads, 1, hooks);
+    });
+  };
+  const Guarded3 one_band = banded(1);
+  const Guarded3 four_bands = banded(4);
+  ASSERT_GT(one_band.counters.injected(), 0);
+  ASSERT_GT(one_band.counters.detected(), 0);
+  expect_same_run(one_band, four_bands);
+
+  const lgca::TemporalTiling tiling{2, 2};  // four z-slab tiles
+  ASSERT_TRUE(lgca3d::temporal_tiling_feasible3(
+      tiling, ext, lgca3d::Boundary3::Periodic));
+  const auto tiled = [&](unsigned threads) {
+    return run_guarded3(ext, [&](lgca::SiteLattice& s,
+                                 lgca::PlaneRunHooks* hooks) {
+      lgca3d::bitplane_gas_run_tiled3(s, ext, 24, 0, threads, tiling, hooks);
+    });
+  };
+  const Guarded3 one_lane = tiled(1);
+  const Guarded3 four_lanes = tiled(4);
+  ASSERT_GT(one_lane.counters.injected(), 0);
+  ASSERT_GT(one_lane.counters.detected(), 0);
+  expect_same_run(one_lane, four_lanes);
+
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(one_band.bands, 1);
+    EXPECT_EQ(four_bands.bands, 4) << "the banded path must really split";
+    EXPECT_EQ(four_lanes.tiles, 4) << "the tiled path must really tile";
+  }
 }
 
 // ---- escalation ----
