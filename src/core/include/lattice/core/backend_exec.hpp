@@ -57,8 +57,10 @@ class BackendExec {
   const ExecStats& stats() const noexcept { return stats_; }
 
   /// The obs stage name: run_pass() time lands in the top-level
-  /// "engine.pass.<name>_ns" phase histogram (docs/OBSERVABILITY.md).
+  /// "engine.pass.<name>_ns" phase histogram (docs/OBSERVABILITY.md),
+  /// whose full name is pass_phase().
   std::string_view name() const noexcept { return name_; }
+  const std::string& pass_phase() const noexcept { return pass_phase_; }
   obs::MetricsRegistry::Id pass_histogram() const noexcept {
     return pass_ns_;
   }
@@ -106,6 +108,7 @@ class BackendExec {
 
  private:
   std::string name_;
+  std::string pass_phase_;
   obs::MetricsRegistry::Id pass_ns_;
 };
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lattice/obs/json.hpp"
@@ -28,9 +29,10 @@ struct MetricsPhase {
 struct MetricsReport {
   /// Wall-clock seconds accumulated across every advance() call.
   double wall_seconds = 0;
-  /// Non-overlapping top-level stages (engine.pass.*, bitplane.*,
-  /// engine.capture/checkpoint/restore). Their seconds sum to within
-  /// a few percent of wall_seconds; the gap is loop glue.
+  /// Non-overlapping top-level stages (the engine's pass histogram,
+  /// engine.pass.<backend>_ns, and engine.capture/checkpoint/restore).
+  /// Their seconds sum to within a few percent of wall_seconds; the
+  /// gap is loop glue.
   std::vector<MetricsPhase> phases;
   /// The full registry merge this report was built from.
   obs::MetricsSnapshot metrics;
@@ -38,9 +40,12 @@ struct MetricsReport {
   double phase_seconds() const noexcept;
 };
 
-/// Build a report from the global registry. `wall_seconds` is supplied
-/// by the caller (the engine knows its own advance() time).
-MetricsReport build_metrics_report(double wall_seconds);
+/// Build a report from the global registry. `wall_seconds` and the
+/// pass histogram's name (BackendExec::pass_phase()) are supplied by
+/// the caller: the engine knows its own advance() time and executor,
+/// so no list of backend names exists to fall out of date.
+MetricsReport build_metrics_report(double wall_seconds,
+                                   std::string_view pass_phase);
 
 /// Emit {"wall_seconds": ..., "phases": [...], "metrics": {...}}.
 void metrics_report_to_json(const MetricsReport& report, obs::JsonWriter& w);

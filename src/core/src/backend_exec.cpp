@@ -10,7 +10,8 @@ namespace lattice::core {
 BackendExec::BackendExec(std::string_view name, std::int64_t pipeline_depth)
     : depth_(pipeline_depth),
       name_(name),
-      pass_ns_(obs::histogram_id("engine.pass." + std::string(name) + "_ns")) {
+      pass_phase_("engine.pass." + name_ + "_ns"),
+      pass_ns_(obs::histogram_id(pass_phase_)) {
   LATTICE_REQUIRE(pipeline_depth >= 1, "pipeline depth must be >= 1");
 }
 
@@ -41,6 +42,7 @@ std::unique_ptr<BackendExec> make_backend_exec(LatticeEngine::Config& config,
     case Backend::Reference:
       return detail::make_reference_exec(config, rule, injector);
     case Backend::BitPlane:
+    case Backend::BitPlane3:
       return detail::make_bitplane_exec(config, rule, injector);
     case Backend::Wsa:
       return detail::make_wsa_exec(config, rule, injector);
@@ -50,8 +52,6 @@ std::unique_ptr<BackendExec> make_backend_exec(LatticeEngine::Config& config,
       return detail::make_wsa_e_exec(config, rule, injector);
     case Backend::Reference3:
       return detail::make_reference3_exec(config, rule, injector);
-    case Backend::BitPlane3:
-      return detail::make_bitplane3_exec(config, rule, injector);
   }
   LATTICE_REQUIRE(false, "unknown backend");
   return nullptr;

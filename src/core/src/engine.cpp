@@ -365,7 +365,7 @@ PerformanceReport LatticeEngine::report() const {
 }
 
 MetricsReport LatticeEngine::snapshot() const {
-  return build_metrics_report(wall_seconds_);
+  return build_metrics_report(wall_seconds_, exec_->pass_phase());
 }
 
 bool LatticeEngine::verify_against_reference() const {

@@ -1,13 +1,17 @@
-// BitPlaneExec — the multi-spin coded software backend. The kernel
-// evaluates gas collisions as boolean algebra over 64-site words, so
-// custom rules are rejected here (they have no plane form).
+// BitPlaneExec — the multi-spin coded software backends, 2-D and 3-D.
+// The kernels evaluate gas collisions as boolean algebra over 64-site
+// words, so custom rules are rejected here (they have no plane form).
+// BitPlane3 is the same executor over the engine's flat {nx, ny·nz}
+// view of a volume: the z-plane runners of the cubic gas and the d = 3
+// tile plan. The executor takes its name, and so its pass histogram,
+// from the backend.
 //
 // max_chunk() takes everything in one pass: pipeline_depth is a
 // hardware parameter with no meaning for this backend, and chunking by
 // it would re-pay the pack/unpack transpose per chunk. One pass per
-// advance() also gives snapshot() a single engine.pass.bitplane_ns
-// sample per call, with the bitplane.pack/update/unpack stages nested
-// underneath it.
+// advance() also gives snapshot() a single engine.pass.bitplane_ns (or
+// bitplane3_ns) sample per call, with the bitplane.pack/update/unpack
+// stages nested underneath it.
 
 #include <optional>
 
@@ -16,7 +20,9 @@
 #include "lattice/fault/memory_guard.hpp"
 #include "lattice/lgca/plane_kernel.hpp"
 #include "lattice/lgca/plane_simd.hpp"
+#include "lattice/lgca3d/plane_kernel3.hpp"
 #include "lattice/obs/metrics.hpp"
+#include "volume3.hpp"
 
 namespace lattice::core::detail {
 
@@ -26,21 +32,36 @@ class BitPlaneExec final : public BackendExec {
  public:
   BitPlaneExec(const LatticeEngine::Config& config,
                fault::FaultInjector* injector)
-      : BackendExec("bitplane", config.pipeline_depth),
-        kernel_(&lgca::PlaneKernel::get(config.gas)),
+      : BackendExec(backend_is_3d(config.backend) ? "bitplane3" : "bitplane",
+                    config.pipeline_depth),
+        kernel_(backend_is_3d(config.backend)
+                    ? nullptr
+                    : &lgca::PlaneKernel::get(config.gas)),
+        extent_(extent3_of(config)),
         threads_(config.threads),
         injector_(injector),
-        plan_(plan_temporal_tiles(config.extent, config.boundary,
-                                  plane_row_bytes(config.extent),
-                                  config.tile_generations)) {
+        plan_(kernel_ != nullptr
+                  ? plan_temporal_tiles(config.extent, config.boundary,
+                                        plane_row_bytes(config.extent),
+                                        config.tile_generations)
+                  : plan_temporal_tiles3(extent_,
+                                         lgca3d::to_boundary3(config.boundary),
+                                         config.tile_generations)) {
     if (injector_ != nullptr) guard_.emplace(*injector_);
-    // Surface which span variant this process dispatches to (a profile
-    // can't tell 64-bit from 512-bit words from timings alone).
-    static const obs::MetricsRegistry::Id simd_id =
-        obs::gauge_id("bitplane.simd_bits");
-    obs::gauge_set(
-        simd_id,
-        lgca::plane_span_ops(lgca::plane_simd_active()).width_bits);
+    // Surface which span variant this backend runs (a profile can't
+    // tell 64-bit from 512-bit words from timings alone): the 2-D
+    // dispatch level, or the 3-D spans' scalar64 (plane_kernel3.hpp).
+    if (kernel_ != nullptr) {
+      static const obs::MetricsRegistry::Id simd_id =
+          obs::gauge_id("bitplane.simd_bits");
+      obs::gauge_set(
+          simd_id,
+          lgca::plane_span_ops(lgca::plane_simd_active()).width_bits);
+    } else {
+      static const obs::MetricsRegistry::Id simd3_id =
+          obs::gauge_id("bitplane3.simd_bits");
+      obs::gauge_set(simd3_id, 64);
+    }
   }
 
   void prepare(const lgca::SiteLattice& state) override { (void)state; }
@@ -53,14 +74,20 @@ class BitPlaneExec final : public BackendExec {
 
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
-    if (plan_.depth > 1) {
+    lgca::PlaneRunHooks* hooks = guard_ ? &*guard_ : nullptr;
+    const bool tiled = plan_.depth > 1;
+    if (kernel_ == nullptr && tiled) {
+      lgca3d::bitplane_gas_run_tiled3(state, extent_, chunk, generation,
+                                      threads_, plan_.tiling(), hooks);
+    } else if (kernel_ == nullptr) {
+      lgca3d::bitplane_gas_run3(state, extent_, chunk, generation, threads_,
+                                /*band_grain_words=*/0, hooks);
+    } else if (tiled) {
       lgca::bitplane_gas_run_tiled(state, *kernel_, chunk, generation,
-                                   threads_, plan_.tiling(),
-                                   guard_ ? &*guard_ : nullptr);
+                                   threads_, plan_.tiling(), hooks);
     } else {
       lgca::bitplane_gas_run(state, *kernel_, chunk, generation, threads_,
-                             /*band_grain_words=*/0,
-                             guard_ ? &*guard_ : nullptr);
+                             /*band_grain_words=*/0, hooks);
     }
     stats_.site_updates += state.extent().area() * chunk;
   }
@@ -82,7 +109,8 @@ class BitPlaneExec final : public BackendExec {
   }
 
  private:
-  const lgca::PlaneKernel* kernel_;
+  const lgca::PlaneKernel* kernel_;  // null for the 3-D backend
+  lgca3d::Extent3 extent_;
   unsigned threads_;
   fault::FaultInjector* injector_;
   TilePlan plan_;
@@ -96,8 +124,11 @@ std::unique_ptr<BackendExec> make_bitplane_exec(
     fault::FaultInjector* injector) {
   (void)rule;
   LATTICE_REQUIRE(config.custom_rule == nullptr,
-                  "the bit-plane backend runs lattice gases only; "
-                  "custom rules have no boolean-algebra kernel");
+                  backend_is_3d(config.backend)
+                      ? "the 3-D backends run the cubic gas only; custom "
+                        "rules have no boolean-algebra kernel"
+                      : "the bit-plane backend runs lattice gases only; "
+                        "custom rules have no boolean-algebra kernel");
   return std::make_unique<BitPlaneExec>(config, injector);
 }
 

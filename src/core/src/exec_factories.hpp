@@ -14,6 +14,7 @@ std::unique_ptr<BackendExec> make_reference_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
 
+/// BitPlane and BitPlane3: one executor, keyed on the backend.
 std::unique_ptr<BackendExec> make_bitplane_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
@@ -32,10 +33,6 @@ std::unique_ptr<BackendExec> make_wsa_e_exec(
     fault::FaultInjector* injector);
 
 std::unique_ptr<BackendExec> make_reference3_exec(
-    const LatticeEngine::Config& config, const lgca::Rule& rule,
-    fault::FaultInjector* injector);
-
-std::unique_ptr<BackendExec> make_bitplane3_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
 

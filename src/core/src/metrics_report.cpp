@@ -7,14 +7,14 @@ namespace lattice::core {
 
 namespace {
 
-// The disjoint top-level stage histograms. Everything else in the
-// registry (wsa.run_ns, pool.task_ns, reference.band_ns, ...) nests
-// inside one of these and would double-count if listed here.
-constexpr std::array<std::string_view, 8> kPhaseHistograms = {
-    "engine.pass.reference_ns", "engine.pass.wsa_ns",
-    "engine.pass.spa_ns",       "engine.pass.bitplane_ns",
-    "engine.pass.wsa_e_ns",     "engine.capture_ns",
-    "engine.checkpoint_ns",     "engine.restore_ns",
+// The engine's own top-level stages besides its pass. Everything else
+// in the registry (wsa.run_ns, pool.task_ns, bitplane.update_ns, ...)
+// nests inside one of these or the pass, and would double-count if
+// listed here.
+constexpr std::array<std::string_view, 3> kEngineStages = {
+    "engine.capture_ns",
+    "engine.checkpoint_ns",
+    "engine.restore_ns",
 };
 
 }  // namespace
@@ -25,17 +25,20 @@ double MetricsReport::phase_seconds() const noexcept {
   return total;
 }
 
-MetricsReport build_metrics_report(double wall_seconds) {
+MetricsReport build_metrics_report(double wall_seconds,
+                                   std::string_view pass_phase) {
   MetricsReport report;
   report.wall_seconds = wall_seconds;
   if constexpr (obs::kEnabled) {
     report.metrics = obs::MetricsRegistry::global().snapshot();
-    for (const std::string_view name : kPhaseHistograms) {
+    const auto add = [&](std::string_view name) {
       const obs::HistogramStats* h = report.metrics.find_histogram(name);
-      if (h == nullptr || h->count == 0) continue;
+      if (h == nullptr || h->count == 0) return;
       report.phases.push_back(MetricsPhase{
           std::string(name), h->count, static_cast<double>(h->sum) * 1e-9});
-    }
+    };
+    add(pass_phase);
+    for (const std::string_view name : kEngineStages) add(name);
   }
   return report;
 }

@@ -19,13 +19,17 @@
 // compiled in and handles the remainder + masked tail word even when a
 // vector path runs the bulk.
 //
-// Parallelism is static row-band ownership: plane_gas_run splits the
-// lattice into at most `threads` contiguous row bands, each owned by
-// one pool lane for the whole run, with one barrier per generation.
-// A grain-size floor collapses the band count (down to an inline
-// single-band loop) when per-generation work is too small to pay for
-// the rendezvous, so thread scaling is monotone — more threads never
-// run slower than fewer (docs/ARCHITECTURE.md, "Threading contract").
+// The runners declared here (and the tiled ones in temporal_tile.hpp)
+// are instances of the one band/trapezoid scheduler
+// (lattice/lgca/scheduler.hpp) with a row as the unit; the 3-D runners
+// are the same scheduler with a z-plane as the unit. Parallelism is
+// static band ownership: at most `threads` contiguous row bands, each
+// owned by one pool lane for the whole run, with one barrier per
+// generation. A grain-size floor collapses the band count (down to an
+// inline single-band loop) when per-generation work is too small to
+// pay for the rendezvous, so thread scaling is monotone — more threads
+// never run slower than fewer (docs/ARCHITECTURE.md, "Threading
+// contract").
 //
 // Supported gases: HPP, FHP-I, FHP-II. FHP-III's collision table is a
 // cyclic permutation of (mass, momentum) equivalence classes and has no
@@ -110,8 +114,8 @@ class PlaneKernel {
                    std::int64_t t, std::int64_t y0, std::int64_t y1,
                    std::int64_t tile_words = 0) const;
 
-  /// Windowed single-row update for the temporal tiling driver
-  /// (temporal_tile.hpp): compute one full row into `next` at storage
+  /// Windowed single-row update for the trapezoid tile step
+  /// (scheduler.hpp): compute one full row into `next` at storage
   /// row `dst_y` from `cur` centered on storage row `src_y`, where the
   /// two lattices may have different heights (a trapezoid scratch strip
   /// vs the real lattice). `sem_y` is the row's *semantic* lattice
@@ -151,12 +155,13 @@ class PlaneKernel {
   std::array<std::array<Tap, 6>, 2> taps_{};  // [row parity][channel]
 };
 
-/// Observation/instrumentation points inside plane_gas_run, keyed to
-/// the band structure. The one client today is the fault subsystem's
-/// PlaneMemoryGuard (fault/memory_guard.hpp), which injects plane-word
-/// faults into the generation-t source and audits per-plane particle
-/// ledgers over the produced rows; the interface lives here so lgca
-/// never depends on lattice::fault. A null hooks pointer is the
+/// Observation/instrumentation points inside the plane runners, keyed
+/// to the band structure (or, tiled, to the block structure). The one
+/// client today is the fault subsystem's PlaneMemoryGuard
+/// (fault/memory_guard.hpp), which injects plane-word faults into the
+/// generation-t source and audits per-plane particle ledgers over the
+/// produced rows; the interface lives here so lgca never depends on
+/// lattice::fault. A null hooks pointer is the
 /// fault-free fast path: the run loop is unchanged (the banded path
 /// takes one untaken branch per band-generation and skips the extra
 /// pre-update barrier entirely).

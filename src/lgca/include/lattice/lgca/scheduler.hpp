@@ -1,0 +1,405 @@
+// The one band/trapezoid scheduler behind every plane runner (2-D and
+// 3-D) and the byte-LUT tiled runner.
+//
+// The paper's §7 Theorem 4 is one schedule argument for every
+// dimension: a blocked pebbling schedule gives R = O(B·S^(1/d))
+// whatever d is. This header is that schedule once, over a *unit* — a
+// row of a 2-D lattice, or a z-plane of ny rows of a 3-D volume — so a
+// new gas or dimension supplies its unit operations and inherits band
+// planning, both runners, the trapezoid tile step, the lane split, the
+// pack → run → unpack wrapper and the bitplane.* obs unchanged
+// (docs/ARCHITECTURE.md, "The band/tile scheduler").
+//
+// A kernel adapter A is a small struct of unit operations; the
+// scheduler calls them directly (templates, no indirect call per row):
+//
+//   using Lattice                the storage the kernel updates
+//   kPlanes                      plane-coded storage: static planes,
+//                                shift halo, run hooks, bitplane.* obs
+//   kernel                       the kernel the operations call
+//   units(lat), periodic(lat)    unit count and boundary
+//   scratch(lat, n)              a zeroed lattice of n units, lat's
+//                                width and boundary (also the double
+//                                buffer, at n = units(lat))
+//   update(next, cur, t, u0, u1)
+//                                the band update: units [u0, u1) of
+//                                next from cur, left halo-ready
+//   update_window(dst, du, cur, su, sem, t)
+//                                one unit into dst's storage unit du
+//                                from cur centered on storage unit su;
+//                                sem, the unit's lattice coordinate,
+//                                alone drives parity and chirality
+// and, when kPlanes:
+//   flat(lat)                    the flat PlaneLattice the hooks see
+//   rows_per_unit(lat)           rows of flat(lat) per unit
+//   kernel.written_planes(), kernel.halo_planes()
+//
+// The per-unit halo fill and the static-plane copy into scratch follow
+// from the flat view: both run over a unit's rows_per_unit flat rows.
+
+#pragma once
+
+#include <algorithm>
+#include <barrier>
+#include <cstdint>
+
+#include "lattice/common/grid.hpp"
+#include "lattice/common/thread_pool.hpp"
+#include "lattice/lgca/plane_kernel.hpp"
+#include "lattice/lgca/temporal_tile.hpp"
+#include "lattice/obs/metrics.hpp"
+#include "lattice/obs/trace.hpp"
+
+namespace lattice::lgca {
+
+/// The bitplane.* obs ids every plane runner reports under, whatever
+/// its dimension (docs/OBSERVABILITY.md).
+struct BitplaneObs {
+  obs::MetricsRegistry::Id sites = obs::counter_id("bitplane.sites");
+  obs::MetricsRegistry::Id words = obs::counter_id("bitplane.words");
+  obs::MetricsRegistry::Id band_ns = obs::histogram_id("bitplane.band_ns");
+  obs::MetricsRegistry::Id bands = obs::gauge_id("bitplane.bands");
+  obs::MetricsRegistry::Id tile_ns = obs::histogram_id("bitplane.tile_ns");
+  obs::MetricsRegistry::Id tile_depth = obs::gauge_id("bitplane.tile_depth");
+  obs::MetricsRegistry::Id tiles = obs::gauge_id("bitplane.tiles");
+  obs::MetricsRegistry::Id pack_ns = obs::histogram_id("bitplane.pack_ns");
+  obs::MetricsRegistry::Id update_ns = obs::histogram_id("bitplane.update_ns");
+  obs::MetricsRegistry::Id unpack_ns = obs::histogram_id("bitplane.unpack_ns");
+  static const BitplaneObs& get();
+};
+
+/// The runners' shared argument check: throws on a bad thread or
+/// generation count, and returns false when there is nothing to run.
+bool runnable(unsigned threads, std::int64_t generations, std::int64_t sites);
+
+/// Band count for a run over `units` units of `unit_words` payload
+/// words of one plane each: never more bands than requested threads,
+/// units, or pool lanes — and never a band owning less than `grain`
+/// words per generation. The grain floor is what keeps thread scaling
+/// monotone: for kernels this cheap (a few word ops per 64 sites), a
+/// band below it costs more in rendezvous than its update, so small
+/// lattices collapse to fewer bands (down to one, which runs inline
+/// with zero pool traffic).
+std::int64_t plan_bands(std::int64_t units, std::int64_t unit_words,
+                        unsigned threads, std::int64_t grain);
+
+/// The tiling feasibility rule over `units` units (rows, or z-planes):
+/// depth >= 2, tile_rows >= depth (keeps the recompute tax below
+/// 100%), at least two tiles (one tile means the lattice already fits
+/// the budget — the plain sweep is strictly better), and, under a Null
+/// boundary, a scratch lattice no taller than the lattice (so it
+/// clamps at most one lattice edge).
+bool tiling_feasible(const TemporalTiling& tiling, std::int64_t units,
+                     Boundary boundary);
+
+/// One-time setup for a double-buffered run: zero the planes outside
+/// `written_planes` in `lat` (the spans never store them, and after
+/// swaps the original buffer resurfaces as output) except the
+/// obstacle plane, which is copied into `next`, tail-masked. After
+/// this, both buffers agree on every static plane for the whole run.
+void prime_static_planes(PlaneLattice& lat, PlaneLattice& next,
+                         std::uint32_t written_planes);
+
+/// Scratch storage base for a tile whose output units are [u0, u1):
+/// local unit = global (unwrapped) unit - base. Under Periodic the
+/// windows stay unwrapped (wrap happens per unit when resolving
+/// content), so the base is simply the widest window's low edge. Under
+/// Null the windows clamp to [0, n], and clamping the base into
+/// [0, n - scratch_n] makes the scratch lattice's own Null boundary
+/// coincide with the lattice edge: a clamped tile's read of unit -1
+/// (or n) lands on local unit -1 (or scratch_n) and resolves to zero,
+/// exactly as the golden updater reads it.
+inline std::int64_t scratch_base(std::int64_t u0, std::int64_t kb,
+                                 std::int64_t n, std::int64_t scratch_n,
+                                 bool periodic) noexcept {
+  const std::int64_t lo = u0 - (kb - 1);
+  return periodic ? lo : std::max<std::int64_t>(0, std::min(lo, n - scratch_n));
+}
+
+/// Balanced contiguous tile range for one lane: never an empty range
+/// while lanes <= tiles.
+struct TileRange {
+  std::int64_t lo;
+  std::int64_t hi;
+};
+inline TileRange lane_tiles(std::int64_t tiles, unsigned lanes,
+                            unsigned lane) noexcept {
+  return {tiles * lane / lanes, tiles * (lane + 1) / lanes};
+}
+
+/// Allocate the double buffer and, for plane storage, prime the static
+/// planes, fill the generation-t0 shift halo of the shifted planes,
+/// open the hooks and count the run's sites and plane words. Every
+/// later generation's halo is written by the band update itself.
+template <class A>
+typename A::Lattice begin_run(const A& a, typename A::Lattice& lat,
+                              std::int64_t generations, std::int64_t t0,
+                              PlaneRunHooks* hooks) {
+  typename A::Lattice next = a.scratch(lat, a.units(lat));
+  if constexpr (A::kPlanes) {
+    PlaneLattice& flat = a.flat(lat);
+    const std::uint32_t written = a.kernel.written_planes();
+    const std::uint32_t halo = a.kernel.halo_planes();
+    prime_static_planes(flat, a.flat(next), written);
+    flat.prepare_shift_halo(halo, 0, flat.extent().height);
+    if (hooks != nullptr) hooks->run_begin(flat, written, halo, t0);
+    // Plane words per generation — the capacity measure of the sweep
+    // (all 8 planes × rows × words/row). Actual memory traffic is
+    // lower: only written planes are stored, and static planes are
+    // never re-read in full.
+    const BitplaneObs& ids = BitplaneObs::get();
+    obs::count(ids.sites, flat.extent().area() * generations);
+    obs::count(ids.words, generations * flat.extent().height *
+                              flat.words_per_row() * PlaneLattice::kPlanes);
+  }
+  return next;
+}
+
+/// The banded runner: advance `lat` by `generations` (> 0) generations,
+/// double-buffered, with up to `threads` static unit bands owned by
+/// persistent pool lanes. `hooks` see each band's flat rows.
+template <class A>
+void run_banded(const A& a, typename A::Lattice& lat,
+                std::int64_t generations, std::int64_t t0, unsigned threads,
+                std::int64_t band_grain_words, PlaneRunHooks* hooks) {
+  const std::int64_t n = a.units(lat);
+  const std::int64_t rpu = a.rows_per_unit(lat);
+  const std::int64_t grain =
+      band_grain_words > 0 ? band_grain_words : kDefaultBandGrainWords;
+  const std::int64_t bands =
+      plan_bands(n, rpu * a.flat(lat).words_per_row(), threads, grain);
+  const BitplaneObs& ids = BitplaneObs::get();
+  obs::gauge_set(ids.bands, bands);
+  typename A::Lattice next = begin_run(a, lat, generations, t0, hooks);
+
+  // One band's generation. `injected` runs between the (mutating)
+  // before_rows and the update.
+  const auto band = [&](std::int64_t t, std::int64_t u0, std::int64_t u1,
+                        const auto& injected) {
+    if (hooks != nullptr) {
+      hooks->before_rows(a.flat(lat), t, u0 * rpu, u1 * rpu);
+      injected();
+    }
+    {
+      const obs::ScopedTimer timer(ids.band_ns);
+      a.update(next, lat, t, u0, u1);
+    }
+    if (hooks != nullptr) {
+      hooks->after_rows(a.flat(next), t, u0 * rpu, u1 * rpu);
+    }
+  };
+  if (bands == 1) {
+    // Inline path: no pool traffic at all. This is also where the band
+    // planner lands whenever the per-generation work is below the grain
+    // floor — the fix for fan-out overhead inverting thread scaling.
+    for (std::int64_t g = 0; g < generations; ++g) {
+      band(t0 + g, 0, n, [] {});
+      std::swap(lat, next);
+    }
+    return;
+  }
+  // Banded path: each pool lane owns one static, contiguous band for
+  // the lifetime of the run, so its units stay in that core's cache
+  // across generations. One std::barrier per generation; with halos
+  // written by each band as it produces its units, the serial
+  // completion step is just the buffer swap. With hooks attached, a
+  // second barrier separates the (mutating) before_rows phase from the
+  // update sweep — a band gathers its neighbors' edge units, which
+  // must not still be under injection; the fault-free path never
+  // touches it. In 3-D the band faces are exactly the sliced SPA's
+  // inter-slice channels, in software.
+  std::barrier sync(static_cast<std::ptrdiff_t>(bands),
+                    [&]() noexcept { std::swap(lat, next); });
+  std::barrier<> inject_sync(static_cast<std::ptrdiff_t>(bands));
+  const std::int64_t per = (n + bands - 1) / bands;
+  common::ThreadPool::shared().run_lanes(
+      static_cast<unsigned>(bands), [&](unsigned lane) {
+        const std::int64_t u0 = static_cast<std::int64_t>(lane) * per;
+        const std::int64_t u1 = std::min(n, u0 + per);
+        for (std::int64_t g = 0; g < generations; ++g) {
+          band(t0 + g, u0, u1, [&] { inject_sync.arrive_and_wait(); });
+          sync.arrive_and_wait();
+        }
+      });
+}
+
+/// Fill the shift halo of units [u0, u1) of plane storage, as the band
+/// update leaves its produced units.
+template <class A>
+void fill_halo(const A& a, typename A::Lattice& lat, std::int64_t u0,
+               std::int64_t u1) {
+  const std::int64_t rpu = a.rows_per_unit(lat);
+  a.flat(lat).prepare_shift_halo(a.kernel.halo_planes(), u0 * rpu, u1 * rpu);
+}
+
+/// Copy the obstacle plane of the lattice units a scratch lattice
+/// stands for (local unit ls = global unit base + ls) into it. Every
+/// trapezoid step reads the obstacle plane from its source unit, and
+/// it is static for the whole run, so once per block suffices. The
+/// static-zero planes are zero in scratch by construction: allocation
+/// zero-fills and the spans never store them.
+template <class A>
+void copy_static(const A& a, typename A::Lattice& scratch,
+                 const typename A::Lattice& lat, std::int64_t base,
+                 bool periodic) {
+  constexpr int kObstaclePlane = 7;
+  const std::int64_t n = a.units(lat);
+  const std::int64_t rpu = a.rows_per_unit(lat);
+  const PlaneLattice& src = a.flat(lat);
+  const std::int64_t words = src.words_per_row();
+  for (std::int64_t ls = 0; ls < a.units(scratch); ++ls) {
+    const std::int64_t gu = periodic ? wrap(base + ls, n) : base + ls;
+    for (std::int64_t r = 0; r < rpu; ++r) {
+      const std::uint64_t* row = src.row(kObstaclePlane, gu * rpu + r);
+      std::copy(row, row + words,
+                a.flat(scratch).row(kObstaclePlane, ls * rpu + r));
+    }
+  }
+}
+
+/// One trapezoid: advance output units [u0, u1) by kb generations from
+/// the committed generation-t lattice `lat` into `next`, intermediate
+/// generations ping-ponging between the scratch lattices. Step g
+/// (1-based) computes the window [u0 - (kb - g), u1 + (kb - g)),
+/// clamped under Null, so every unit a later step reads was produced
+/// one step earlier in the same tile. Reads only `lat` and the
+/// scratch, so concurrent tiles never race.
+template <class A>
+void run_tile(const A& a, typename A::Lattice& next,
+              const typename A::Lattice& lat, std::int64_t t,
+              std::int64_t kb, std::int64_t u0, std::int64_t u1,
+              typename A::Lattice& s0, typename A::Lattice& s1) {
+  using L = typename A::Lattice;
+  if (kb == 1) {
+    a.update(next, lat, t, u0, u1);
+    return;
+  }
+  const std::int64_t n = a.units(lat);
+  const bool periodic = a.periodic(lat);
+  const std::int64_t base = scratch_base(u0, kb, n, a.units(s0), periodic);
+  if constexpr (A::kPlanes) {
+    copy_static(a, s0, lat, base, periodic);
+    copy_static(a, s1, lat, base, periodic);
+  }
+  L* cur_s = &s0;
+  L* dst_s = &s1;
+  for (std::int64_t g = 1; g <= kb; ++g) {
+    std::int64_t lo = u0 - (kb - g);
+    std::int64_t hi = u1 + (kb - g);
+    if (!periodic) {
+      lo = std::max<std::int64_t>(lo, 0);
+      hi = std::min(hi, n);
+    }
+    const L& cur = g == 1 ? lat : *cur_s;
+    L& dst = g == kb ? next : *dst_s;
+    for (std::int64_t gu = lo; gu < hi; ++gu) {
+      const std::int64_t sem = periodic ? wrap(gu, n) : gu;
+      const std::int64_t src_u = g == 1 ? sem : gu - base;
+      const std::int64_t dst_u = g == kb ? gu : gu - base;
+      a.update_window(dst, dst_u, cur, src_u, sem, t + g - 1);
+      if constexpr (A::kPlanes) {
+        if (g < kb) fill_halo(a, dst, dst_u, dst_u + 1);
+      }
+    }
+    std::swap(cur_s, dst_s);
+  }
+  if constexpr (A::kPlanes) fill_halo(a, next, u0, u1);
+}
+
+/// The tiled runner: advance `lat` by `generations` (> 0) generations,
+/// tiling.depth per cache-resident trapezoid; `tiling` must be
+/// feasible (tiling_feasible). Tiles of one block are independent
+/// (redundant seam recompute), so up to `threads` lanes own balanced
+/// contiguous tile ranges with one barrier per block — per depth
+/// generations. `hooks` fire at block granularity from lane 0 over
+/// the full committed lattice, bracketed by a rendezvous so no lane is
+/// reading it: fault injection strikes the DRAM-resident committed
+/// state while cache-resident intermediates stay clean, and a detected
+/// fault still rolls the whole block back.
+template <class A>
+void run_tiled(const A& a, typename A::Lattice& lat,
+               std::int64_t generations, std::int64_t t0, unsigned threads,
+               const TemporalTiling& tiling, PlaneRunHooks* hooks) {
+  const std::int64_t n = a.units(lat);
+  const std::int64_t k = tiling.depth;
+  const std::int64_t tiles = (n + tiling.tile_rows - 1) / tiling.tile_rows;
+  // Even the tiles out (the last one would otherwise take the
+  // remainder): ceil(n / tiles) units each keeps the spread to one.
+  const std::int64_t tile_units = (n + tiles - 1) / tiles;
+  const std::int64_t scratch_n = tiling.tile_rows + 2 * (k - 1);
+  const unsigned lanes = static_cast<unsigned>(std::min<std::int64_t>(
+      std::min<std::int64_t>(threads, tiles),
+      common::ThreadPool::shared().max_lanes()));
+  obs::MetricsRegistry::Id tile_ns = obs::MetricsRegistry::kInvalidId;
+  if constexpr (A::kPlanes) {
+    const BitplaneObs& ids = BitplaneObs::get();
+    tile_ns = ids.tile_ns;
+    obs::gauge_set(ids.tile_depth, k);
+    obs::gauge_set(ids.tiles, tiles);
+  }
+  typename A::Lattice next = begin_run(a, lat, generations, t0, hooks);
+
+  const auto block_hook = [&](bool before, std::int64_t t) {
+    if constexpr (A::kPlanes) {
+      const std::int64_t rows = a.flat(lat).extent().height;
+      if (before) {
+        hooks->before_rows(a.flat(lat), t, 0, rows);
+      } else {
+        hooks->after_rows(a.flat(next), t, 0, rows);
+      }
+    }
+  };
+  std::barrier sync(static_cast<std::ptrdiff_t>(lanes),
+                    [&]() noexcept { std::swap(lat, next); });
+  std::barrier<> hook_sync(static_cast<std::ptrdiff_t>(lanes));
+  common::ThreadPool::shared().run_lanes(lanes, [&](unsigned lane) {
+    typename A::Lattice s0 = a.scratch(lat, scratch_n);
+    typename A::Lattice s1 = a.scratch(lat, scratch_n);
+    const TileRange range = lane_tiles(tiles, lanes, lane);
+    for (std::int64_t done = 0; done < generations;) {
+      const std::int64_t kb = std::min(k, generations - done);
+      const std::int64_t t = t0 + done;
+      if (hooks != nullptr) {
+        if (lane == 0) block_hook(true, t);
+        hook_sync.arrive_and_wait();
+      }
+      for (std::int64_t tile = range.lo; tile < range.hi; ++tile) {
+        const obs::ScopedTimer timer(tile_ns);
+        const std::int64_t u0 = tile * tile_units;
+        const std::int64_t u1 = std::min(n, u0 + tile_units);
+        run_tile(a, next, lat, t, kb, u0, u1, s0, s1);
+      }
+      if (hooks != nullptr) {
+        hook_sync.arrive_and_wait();
+        if (lane == 0) block_hook(false, t + kb - 1);
+      }
+      sync.arrive_and_wait();
+      done += kb;
+    }
+  });
+}
+
+/// The byte-storage wrapper of every plane runner: pack once, run, and
+/// unpack once, each stage under its bitplane.pack/update/unpack timer
+/// and trace span. `pack()` returns the packed planes; `run(planes)`
+/// advances them. The transpose costs about one byte-path generation,
+/// so it amortizes over multi-generation runs.
+template <class Sites, class Pack, class Run>
+void packed_run(Sites& sites, const Pack& pack, const Run& run) {
+  const BitplaneObs& ids = BitplaneObs::get();
+  auto planes = [&] {
+    const obs::ScopedTimer timer(ids.pack_ns);
+    const obs::TraceSpan span("bitplane.pack");
+    return pack();
+  }();
+  {
+    const obs::ScopedTimer timer(ids.update_ns);
+    const obs::TraceSpan span("bitplane.update");
+    run(planes);
+  }
+  const obs::ScopedTimer timer(ids.unpack_ns);
+  const obs::TraceSpan span("bitplane.unpack");
+  planes.unpack(sites);
+}
+
+}  // namespace lattice::lgca

@@ -33,10 +33,13 @@
 // windowed row update (storage row vs semantic row, hex parity,
 // chirality hash, boundary resolution) is documented on
 // PlaneKernel::update_row_window / CollisionLut::update_span_window.
-// Everything here is bit-identical to plane_gas_run / fused_gas_run
-// for every (gas, boundary, SIMD level, thread count, depth) — by the
-// induction above, and by the tile-seam sweep in
-// tests/test_temporal_tile.cpp.
+// The runners below are instances of the one band/trapezoid scheduler
+// (scheduler.hpp), which holds the trapezoid step, the tiled runner
+// and the feasibility rule once for rows (2-D planes and bytes) and
+// z-planes (3-D, plane_kernel3.hpp) alike. Everything here is
+// bit-identical to plane_gas_run / fused_gas_run for every (gas,
+// boundary, SIMD level, thread count, depth) — by the induction above,
+// and by the tile-seam sweep in tests/test_temporal_tile.cpp.
 
 #pragma once
 
@@ -56,18 +59,18 @@ struct TemporalTiling {
   /// temporal blocking" and the tiled drivers fall back to the plain
   /// sweep.
   std::int64_t depth = 1;
-  /// Output rows per tile at the final step. The scratch strips hold
-  /// tile_rows + 2*(depth-1) rows each.
+  /// Output units per tile at the final step — rows, or z-planes for
+  /// the 3-D runners. The scratch strips hold tile_rows + 2*(depth-1)
+  /// units each.
   std::int64_t tile_rows = 0;
 };
 
-/// Whether the tiled drivers would actually tile this run: depth >= 2,
-/// tile_rows >= depth (keeps the recompute tax below 100%), at least
-/// two tiles (one tile means the lattice already fits the budget — the
-/// plain sweep is strictly better), and, under a Null boundary, a
-/// scratch strip no taller than the lattice (so a strip clamps at most
-/// one lattice edge). The drivers fall back to the plain sweep when
-/// this is false, so callers may pass any TemporalTiling.
+/// Whether the tiled drivers would actually tile this run: the
+/// scheduler's tiling_feasible rule over the lattice's rows (depth >=
+/// 2, tile_rows >= depth, at least two tiles, and under a Null
+/// boundary a scratch strip no taller than the lattice). The drivers
+/// fall back to the plain sweep when this is false, so callers may
+/// pass any TemporalTiling.
 bool temporal_tiling_feasible(const TemporalTiling& tiling, Extent extent,
                               Boundary boundary);
 

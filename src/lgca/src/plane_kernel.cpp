@@ -1,15 +1,11 @@
 #include "lattice/lgca/plane_kernel.hpp"
 
 #include <algorithm>
-#include <barrier>
-#include <functional>
 
-#include "lattice/common/thread_pool.hpp"
 #include "lattice/lgca/gas_rule.hpp"
 #include "lattice/lgca/geometry.hpp"
 #include "lattice/lgca/plane_simd.hpp"
-#include "lattice/obs/metrics.hpp"
-#include "lattice/obs/trace.hpp"
+#include "lattice/lgca/scheduler.hpp"
 #include "plane_span.hpp"
 
 namespace lattice::lgca {
@@ -40,29 +36,7 @@ PlaneKernel::PlaneKernel(GasKind kind)
 
 void PlaneKernel::prime_static_planes(PlaneLattice& lat,
                                       PlaneLattice& next) const {
-  LATTICE_ASSERT(next.extent() == lat.extent() &&
-                     next.boundary() == lat.boundary(),
-                 "prime_static_planes: buffer shapes differ");
-  const std::int64_t words = lat.words_per_row();
-  if (words == 0) return;
-  const std::uint64_t tail = lat.tail_mask();
-  for (int p = 0; p < PlaneLattice::kPlanes; ++p) {
-    if (((written_ >> p) & 1u) != 0) continue;
-    for (std::int64_t y = 0; y < lat.extent().height; ++y) {
-      const std::uint64_t* src = lat.row(p, y);
-      std::uint64_t* dst = next.row(p, y);
-      if (p == kObstaclePlane) {
-        for (std::int64_t k = 0; k < words; ++k) dst[k] = src[k];
-        dst[words - 1] &= tail;
-      } else {
-        // Static-zero plane: the update used to clear it every word of
-        // every generation; now it is cleared once in both buffers.
-        std::uint64_t* mut = lat.row(p, y);
-        for (std::int64_t k = 0; k < words; ++k) mut[k] = 0;
-        for (std::int64_t k = 0; k < words; ++k) dst[k] = 0;
-      }
-    }
-  }
+  lgca::prime_static_planes(lat, next, written_);
 }
 
 bool PlaneKernel::supports(GasKind kind) noexcept {
@@ -187,146 +161,6 @@ void PlaneKernel::update_rows(PlaneLattice& next, const PlaneLattice& cur,
   // all-plane walk over the whole lattice between generations, which
   // on small rows cost as much as the vectorized sweep itself.
   next.prepare_shift_halo(halo_, y0, y1);
-}
-
-namespace {
-
-/// Row-band count for a run: never more bands than requested threads,
-/// rows, or pool lanes — and never a band owning less than `grain`
-/// payload words of one plane per generation. The grain floor is what
-/// keeps thread scaling monotone: for kernels this cheap (a few word
-/// ops per 64 sites), a band below it costs more in rendezvous than
-/// its update, so small lattices collapse to fewer bands (down to one,
-/// which runs inline with zero pool traffic).
-std::int64_t plan_bands(std::int64_t height, std::int64_t words,
-                        unsigned threads, std::int64_t grain) {
-  const std::int64_t work = height * words;  // per plane, per generation
-  std::int64_t bands = std::min<std::int64_t>(threads, height);
-  bands = std::min(bands, std::max<std::int64_t>(1, work / grain));
-  bands = std::min(bands, static_cast<std::int64_t>(
-                              common::ThreadPool::shared().max_lanes()));
-  return std::max<std::int64_t>(1, bands);
-}
-
-}  // namespace
-
-void plane_gas_run(PlaneLattice& lat, const PlaneKernel& kernel,
-                   std::int64_t generations, std::int64_t t0,
-                   unsigned threads, std::int64_t band_grain_words,
-                   PlaneRunHooks* hooks) {
-  LATTICE_REQUIRE(threads >= 1, "need at least one worker thread");
-  LATTICE_REQUIRE(generations >= 0, "generations must be >= 0");
-  const Extent e = lat.extent();
-  if (e.area() == 0 || generations == 0) return;
-  const std::int64_t grain =
-      band_grain_words > 0 ? band_grain_words : kDefaultBandGrainWords;
-  const std::int64_t bands =
-      plan_bands(e.height, lat.words_per_row(), threads, grain);
-
-  static const obs::MetricsRegistry::Id sites_id =
-      obs::counter_id("bitplane.sites");
-  static const obs::MetricsRegistry::Id words_id =
-      obs::counter_id("bitplane.words");
-  static const obs::MetricsRegistry::Id band_id =
-      obs::histogram_id("bitplane.band_ns");
-  static const obs::MetricsRegistry::Id bands_id =
-      obs::gauge_id("bitplane.bands");
-  obs::gauge_set(bands_id, bands);
-
-  PlaneLattice next(e, lat.boundary());
-  // One-time run setup: static planes primed in both buffers (the
-  // spans only store the dynamic planes), then one halo fill of the
-  // generation-0 source for just the shifted planes. Every later
-  // generation's halo is written by update_rows itself, band-locally.
-  kernel.prime_static_planes(lat, next);
-  lat.prepare_shift_halo(kernel.halo_planes(), 0, e.height);
-  if (hooks != nullptr) {
-    hooks->run_begin(lat, kernel.written_planes(), kernel.halo_planes(), t0);
-  }
-  if (bands == 1) {
-    // Inline path: no pool traffic at all. This is also where the band
-    // planner lands whenever the per-generation work is below the grain
-    // floor — the fix for fan-out overhead inverting thread scaling.
-    for (std::int64_t g = 0; g < generations; ++g) {
-      if (hooks != nullptr) hooks->before_rows(lat, t0 + g, 0, e.height);
-      {
-        const obs::ScopedTimer timer(band_id);
-        kernel.update_rows(next, lat, t0 + g, 0, e.height);
-      }
-      if (hooks != nullptr) hooks->after_rows(next, t0 + g, 0, e.height);
-      std::swap(lat, next);
-    }
-  } else {
-    // Banded path: each of `bands` pool lanes owns one static,
-    // contiguous row band for the lifetime of the run (cache-resident
-    // tiles — a band's rows stay in that core's cache across
-    // generations). One std::barrier per generation replaces the old
-    // per-generation task-bag rendezvous; with halos written by each
-    // band as it produces its rows, the serial completion step is just
-    // the buffer swap. With hooks attached, a second barrier separates
-    // the (mutating) before_rows phase from the update sweep — a band
-    // gathers its neighbors' edge rows, which must not still be under
-    // injection; the fault-free path never touches it.
-    std::barrier sync(static_cast<std::ptrdiff_t>(bands),
-                      [&]() noexcept { std::swap(lat, next); });
-    std::barrier<> inject_sync(static_cast<std::ptrdiff_t>(bands));
-    const std::int64_t rows_per = (e.height + bands - 1) / bands;
-    common::ThreadPool::shared().run_lanes(
-        static_cast<unsigned>(bands), [&](unsigned lane) {
-          const std::int64_t y0 = static_cast<std::int64_t>(lane) * rows_per;
-          const std::int64_t y1 = std::min(e.height, y0 + rows_per);
-          for (std::int64_t g = 0; g < generations; ++g) {
-            if (hooks != nullptr) {
-              hooks->before_rows(lat, t0 + g, y0, y1);
-              inject_sync.arrive_and_wait();
-            }
-            {
-              const obs::ScopedTimer timer(band_id);
-              kernel.update_rows(next, lat, t0 + g, y0, y1);
-            }
-            if (hooks != nullptr) hooks->after_rows(next, t0 + g, y0, y1);
-            sync.arrive_and_wait();
-          }
-        });
-  }
-  obs::count(sites_id, e.area() * generations);
-  // Plane words per generation — the capacity measure of the sweep
-  // (all 8 planes × rows × words/row). Actual memory traffic is lower:
-  // only written_planes() are stored, and static planes are never
-  // re-read in full (the obstacle mask is read word-by-word, the
-  // static-zero planes not at all).
-  obs::count(words_id, generations * e.height * lat.words_per_row() *
-                           PlaneLattice::kPlanes);
-}
-
-void bitplane_gas_run(SiteLattice& lat, const PlaneKernel& kernel,
-                      std::int64_t generations, std::int64_t t0,
-                      unsigned threads, std::int64_t band_grain_words,
-                      PlaneRunHooks* hooks) {
-  static const obs::MetricsRegistry::Id pack_id =
-      obs::histogram_id("bitplane.pack_ns");
-  static const obs::MetricsRegistry::Id update_id =
-      obs::histogram_id("bitplane.update_ns");
-  static const obs::MetricsRegistry::Id unpack_id =
-      obs::histogram_id("bitplane.unpack_ns");
-
-  PlaneLattice planes;
-  {
-    const obs::ScopedTimer pack_timer(pack_id);
-    const obs::TraceSpan pack_span("bitplane.pack");
-    planes = PlaneLattice(lat);
-  }
-
-  {
-    obs::ScopedTimer update_timer(update_id);
-    const obs::TraceSpan update_span("bitplane.update");
-    plane_gas_run(planes, kernel, generations, t0, threads,
-                  band_grain_words, hooks);
-  }
-
-  const obs::ScopedTimer unpack_timer(unpack_id);
-  const obs::TraceSpan unpack_span("bitplane.unpack");
-  planes.unpack(lat);
 }
 
 }  // namespace lattice::lgca

@@ -31,15 +31,18 @@
 // to lgca3d::reference_step per site, by construction and by the
 // exhaustive parity matrix in tests/test_plane_lattice3.cpp.
 //
-// Threading mirrors plane_gas_run, with the band unit promoted from a
-// row to a z-plane: up to `threads` contiguous z-slabs are owned by
+// The runners below are instances of the one band/trapezoid scheduler
+// (lattice/lgca/scheduler.hpp) with the unit promoted from a row to a
+// z-plane of ny rows: up to `threads` contiguous z-slabs are owned by
 // persistent pool lanes, one barrier per generation. This z-slab
 // decomposition is the software shape of the sliced 3-D SPA — slabs of
 // z-planes exchanging faces (the slab-boundary rows the neighbor bands
 // gather) at each generation barrier, generalizing the 2-D strip
 // machines' side channels. plane_gas_run_tiled3 is the §7 Theorem 4
 // schedule in d = 3: trapezoidal z-slab tiles advanced depth
-// generations per memory visit, R = O(B·S^(1/3)).
+// generations per memory visit, R = O(B·S^(1/3)). The kernel supplies
+// only its unit operations (update_planes, update_plane_window and the
+// plane masks); static planes are primed by the shared 2-D priming.
 
 #pragma once
 
@@ -56,15 +59,12 @@ class PlaneKernel3 {
   /// The (immutable) singleton — one 3-D gas, one kernel.
   static const PlaneKernel3& get();
 
-  /// The six channel planes; obstacle (7) is static, 6 is unused.
+  /// The six channel planes; obstacle (7) is static, 6 is unused (the
+  /// run primes it to zero in both buffers, as the reference gather
+  /// never reads it).
   std::uint32_t written_planes() const noexcept { return 0x3fu; }
   /// Only the ±x channels gather with a column shift.
   std::uint32_t halo_planes() const noexcept { return 0x03u; }
-
-  /// One-time run setup, as in the 2-D kernel: zero the static-zero
-  /// plane (6) in both buffers and copy the obstacle plane into
-  /// `next`, tail-masked.
-  void prime_static_planes(PlaneLattice3& lat, PlaneLattice3& next) const;
 
   /// Compute generation-(t+1) z-planes [z0, z1) of `next` from the
   /// generation-t lattice `cur`, whose ±x shift halo must be current

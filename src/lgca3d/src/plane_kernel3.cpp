@@ -1,25 +1,15 @@
 #include "lattice/lgca3d/plane_kernel3.hpp"
 
-#include <algorithm>
-#include <barrier>
 #include <bit>
 
 #include "lattice/common/error.hpp"
-#include "lattice/common/thread_pool.hpp"
-#include "lattice/obs/metrics.hpp"
-#include "lattice/obs/trace.hpp"
+#include "lattice/lgca/scheduler.hpp"
 
 namespace lattice::lgca3d {
 
 namespace {
 
-constexpr int kStaticZeroPlane = 6;
 constexpr int kObstaclePlane = 7;
-
-constexpr std::int64_t wrapi(std::int64_t v, std::int64_t m) noexcept {
-  const std::int64_t r = v % m;
-  return r < 0 ? r + m : r;
-}
 
 // One row of the cubic-gas update: gather (funnel shift on the ±x
 // planes, whole-row reads for everything else), word-parallel pair
@@ -124,31 +114,6 @@ const PlaneKernel3& PlaneKernel3::get() {
   return kernel;
 }
 
-void PlaneKernel3::prime_static_planes(PlaneLattice3& lat,
-                                       PlaneLattice3& next) const {
-  LATTICE_ASSERT(next.extent3() == lat.extent3() &&
-                     next.boundary3() == lat.boundary3(),
-                 "prime_static_planes: buffer shapes differ");
-  const std::int64_t words = lat.words_per_row();
-  if (words == 0) return;
-  const std::uint64_t tail = lat.tail_mask();
-  const Extent3 e = lat.extent3();
-  const std::int64_t rows = e.ny * e.nz;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    // Bit 6 is not a channel: the reference gather never reads it, so
-    // it is zero from generation 1 on — clearing it up front in both
-    // buffers reproduces that for every produced state.
-    std::uint64_t* za = lat.inner().row(kStaticZeroPlane, r);
-    std::uint64_t* zb = next.inner().row(kStaticZeroPlane, r);
-    for (std::int64_t k = 0; k < words; ++k) za[k] = 0;
-    for (std::int64_t k = 0; k < words; ++k) zb[k] = 0;
-    const std::uint64_t* src = lat.inner().row(kObstaclePlane, r);
-    std::uint64_t* dst = next.inner().row(kObstaclePlane, r);
-    for (std::int64_t k = 0; k < words; ++k) dst[k] = src[k];
-    dst[words - 1] &= tail;
-  }
-}
-
 void PlaneKernel3::update_plane_window(PlaneLattice3& next, std::int64_t dst_z,
                                        const PlaneLattice3& cur,
                                        std::int64_t src_z, std::int64_t sem_z,
@@ -226,106 +191,40 @@ void PlaneKernel3::update_planes(PlaneLattice3& next, const PlaneLattice3& cur,
 
 namespace {
 
-/// z-slab band count: never more bands than requested threads,
-/// z-planes, or pool lanes — and never a band owning less than `grain`
-/// payload words of one plane per generation, the same monotone-
-/// scaling floor the 2-D band planner applies (whole z-planes are the
-/// smallest unit here, so small volumes collapse to one inline band).
-std::int64_t plan_bands3(Extent3 e, std::int64_t words, unsigned threads,
-                         std::int64_t grain) {
-  const std::int64_t work = e.ny * e.nz * words;  // per plane, per gen
-  std::int64_t bands = std::min<std::int64_t>(threads, e.nz);
-  bands = std::min(bands, std::max<std::int64_t>(1, work / grain));
-  bands = std::min(bands, static_cast<std::int64_t>(
-                              common::ThreadPool::shared().max_lanes()));
-  return std::max<std::int64_t>(1, bands);
-}
+/// z-planes of a volume: a unit is the ny rows of one z-plane in the
+/// flat lattice (row r = z*ny + y).
+struct PlaneSlabs {
+  using Lattice = PlaneLattice3;
+  static constexpr bool kPlanes = true;
+  const PlaneKernel3& kernel = PlaneKernel3::get();
 
-struct BitplaneObs {
-  obs::MetricsRegistry::Id sites = obs::counter_id("bitplane.sites");
-  obs::MetricsRegistry::Id words = obs::counter_id("bitplane.words");
-  obs::MetricsRegistry::Id band_ns = obs::histogram_id("bitplane.band_ns");
-  obs::MetricsRegistry::Id bands = obs::gauge_id("bitplane.bands");
-  obs::MetricsRegistry::Id tile_ns = obs::histogram_id("bitplane.tile_ns");
-  obs::MetricsRegistry::Id depth = obs::gauge_id("bitplane.tile_depth");
-  obs::MetricsRegistry::Id tiles = obs::gauge_id("bitplane.tiles");
-  static const BitplaneObs& get() {
-    static const BitplaneObs ids;
-    return ids;
+  static std::int64_t units(const PlaneLattice3& l) { return l.extent3().nz; }
+  static std::int64_t rows_per_unit(const PlaneLattice3& l) {
+    return l.extent3().ny;
+  }
+  static bool periodic(const PlaneLattice3& l) {
+    return l.boundary3() == Boundary3::Periodic;
+  }
+  static auto& flat(auto& l) { return l.inner(); }
+  static PlaneLattice3 scratch(const PlaneLattice3& l, std::int64_t nz) {
+    return PlaneLattice3({l.extent3().nx, l.extent3().ny, nz}, l.boundary3());
+  }
+  void update(PlaneLattice3& next, const PlaneLattice3& cur, std::int64_t t,
+              std::int64_t z0, std::int64_t z1) const {
+    kernel.update_planes(next, cur, t, z0, z1);
+  }
+  void update_window(PlaneLattice3& dst, std::int64_t dst_z,
+                     const PlaneLattice3& cur, std::int64_t src_z,
+                     std::int64_t sem_z, std::int64_t t) const {
+    kernel.update_plane_window(dst, dst_z, cur, src_z, sem_z, t);
   }
 };
 
-std::int64_t scratch_base3(std::int64_t z0, std::int64_t kb, std::int64_t nz,
-                           std::int64_t scratch_d, bool periodic) noexcept {
-  const std::int64_t lo = z0 - (kb - 1);
-  if (periodic) return lo;
-  return std::max<std::int64_t>(0, std::min(lo, nz - scratch_d));
-}
-
-/// One trapezoid in (z, t): advance output z-planes [z0, z1) by kb
-/// generations from the committed generation-t volume, intermediates
-/// ping-ponging between the scratch slabs (full x/y extent, sliced in
-/// z). Reads only `lat` and the slabs, so concurrent tiles never race.
-void run_plane_tile3(PlaneLattice3& next, const PlaneLattice3& lat,
-                     const PlaneKernel3& kernel, std::int64_t t,
-                     std::int64_t kb, std::int64_t z0, std::int64_t z1,
-                     PlaneLattice3* s0, PlaneLattice3* s1) {
-  if (kb == 1) {
-    kernel.update_planes(next, lat, t, z0, z1);
-    return;
-  }
-  const Extent3 e = lat.extent3();
-  const std::int64_t nz = e.nz;
-  const bool periodic = lat.boundary3() == Boundary3::Periodic;
-  const std::int64_t scratch_d = s0->extent3().nz;
-  const std::int64_t words = lat.words_per_row();
-  const std::uint32_t halo = kernel.halo_planes();
-  const std::int64_t base = scratch_base3(z0, kb, nz, scratch_d, periodic);
-
-  // Every step reads the obstacle plane from its source center row; it
-  // is static for the whole run — copy it into the slabs once per
-  // block. The static-zero plane is zero in the slabs by construction
-  // (allocation zero-fills and the span never stores it).
-  for (PlaneLattice3* s : {s0, s1}) {
-    for (std::int64_t lz = 0; lz < scratch_d; ++lz) {
-      const std::int64_t gz = periodic ? wrapi(base + lz, nz) : base + lz;
-      for (std::int64_t y = 0; y < e.ny; ++y) {
-        const std::uint64_t* src = lat.row(kObstaclePlane, gz, y);
-        std::copy(src, src + words, s->row(kObstaclePlane, lz, y));
-      }
-    }
-  }
-
-  PlaneLattice3* cur_s = s0;
-  PlaneLattice3* dst_s = s1;
-  for (std::int64_t g = 1; g <= kb; ++g) {
-    std::int64_t lo = z0 - (kb - g);
-    std::int64_t hi = z1 + (kb - g);
-    if (!periodic) {
-      lo = std::max<std::int64_t>(lo, 0);
-      hi = std::min(hi, nz);
-    }
-    const PlaneLattice3& cur = g == 1 ? lat : *cur_s;
-    PlaneLattice3& dst = g == kb ? next : *dst_s;
-    for (std::int64_t gz = lo; gz < hi; ++gz) {
-      const std::int64_t sem = periodic ? wrapi(gz, nz) : gz;
-      const std::int64_t src_z = g == 1 ? sem : gz - base;
-      const std::int64_t dst_z = g == kb ? gz : gz - base;
-      kernel.update_plane_window(dst, dst_z, cur, src_z, sem, t + g - 1);
-      if (g < kb) dst.prepare_shift_halo(halo, dst_z, dst_z + 1);
-    }
-    std::swap(cur_s, dst_s);
-  }
-  next.prepare_shift_halo(halo, z0, z1);
-}
-
-struct TileRange {
-  std::int64_t lo;
-  std::int64_t hi;
-};
-TileRange lane_tiles(std::int64_t tiles, unsigned lanes,
-                     unsigned lane) noexcept {
-  return {tiles * lane / lanes, tiles * (lane + 1) / lanes};
+/// The engine's flat {nx, ny*nz} byte view, packed straight into planes.
+PlaneLattice3 pack_flat(const lgca::SiteLattice& lat, Extent3 extent) {
+  PlaneLattice3 planes(extent, to_boundary3(lat.boundary()));
+  planes.pack(lat);
+  return planes;
 }
 
 }  // namespace
@@ -334,242 +233,48 @@ void plane_gas_run3(PlaneLattice3& lat, std::int64_t generations,
                     std::int64_t t0, unsigned threads,
                     std::int64_t band_grain_words,
                     lgca::PlaneRunHooks* hooks) {
-  LATTICE_REQUIRE(threads >= 1, "need at least one worker thread");
-  LATTICE_REQUIRE(generations >= 0, "generations must be >= 0");
-  if (generations == 0) return;
-  const PlaneKernel3& kernel = PlaneKernel3::get();
-  const Extent3 e = lat.extent3();
-  const std::int64_t grain = band_grain_words > 0
-                                 ? band_grain_words
-                                 : lgca::kDefaultBandGrainWords;
-  const std::int64_t bands =
-      plan_bands3(e, lat.words_per_row(), threads, grain);
-
-  const BitplaneObs& ids = BitplaneObs::get();
-  obs::gauge_set(ids.bands, bands);
-
-  PlaneLattice3 next(e, lat.boundary3());
-  kernel.prime_static_planes(lat, next);
-  lat.prepare_shift_halo(kernel.halo_planes(), 0, e.nz);
-  if (hooks != nullptr) {
-    hooks->run_begin(lat.inner(), kernel.written_planes(),
-                     kernel.halo_planes(), t0);
-  }
-  if (bands == 1) {
-    for (std::int64_t g = 0; g < generations; ++g) {
-      if (hooks != nullptr) {
-        hooks->before_rows(lat.inner(), t0 + g, 0, e.ny * e.nz);
-      }
-      {
-        const obs::ScopedTimer timer(ids.band_ns);
-        kernel.update_planes(next, lat, t0 + g, 0, e.nz);
-      }
-      if (hooks != nullptr) {
-        hooks->after_rows(next.inner(), t0 + g, 0, e.ny * e.nz);
-      }
-      std::swap(lat, next);
-    }
-  } else {
-    // z-slab bands: each pool lane owns one static contiguous slab for
-    // the whole run, one barrier per generation. The slab faces — the
-    // boundary z-planes the neighbor bands gather — are exactly the
-    // sliced 3-D SPA's inter-slice channels in software.
-    std::barrier sync(static_cast<std::ptrdiff_t>(bands),
-                      [&]() noexcept { std::swap(lat, next); });
-    std::barrier<> inject_sync(static_cast<std::ptrdiff_t>(bands));
-    const std::int64_t planes_per = (e.nz + bands - 1) / bands;
-    common::ThreadPool::shared().run_lanes(
-        static_cast<unsigned>(bands), [&](unsigned lane) {
-          const std::int64_t z0 = static_cast<std::int64_t>(lane) * planes_per;
-          const std::int64_t z1 = std::min(e.nz, z0 + planes_per);
-          for (std::int64_t g = 0; g < generations; ++g) {
-            if (hooks != nullptr) {
-              hooks->before_rows(lat.inner(), t0 + g, z0 * e.ny, z1 * e.ny);
-              inject_sync.arrive_and_wait();
-            }
-            {
-              const obs::ScopedTimer timer(ids.band_ns);
-              kernel.update_planes(next, lat, t0 + g, z0, z1);
-            }
-            if (hooks != nullptr) {
-              hooks->after_rows(next.inner(), t0 + g, z0 * e.ny, z1 * e.ny);
-            }
-            sync.arrive_and_wait();
-          }
-        });
-  }
-  obs::count(ids.sites, e.volume() * generations);
-  obs::count(ids.words, generations * e.ny * e.nz * lat.words_per_row() *
-                            PlaneLattice3::kPlanes);
+  if (!lgca::runnable(threads, generations, lat.extent3().volume())) return;
+  lgca::run_banded(PlaneSlabs{}, lat, generations, t0, threads,
+                   band_grain_words, hooks);
 }
 
 bool temporal_tiling_feasible3(const lgca::TemporalTiling& tiling,
                                Extent3 extent, Boundary3 boundary) {
-  const std::int64_t k = tiling.depth;
-  const std::int64_t r = tiling.tile_rows;
-  if (k < 2 || r < k) return false;
-  if (extent.nx <= 0 || extent.ny <= 0 || extent.nz <= 0) return false;
-  if ((extent.nz + r - 1) / r < 2) return false;
-  const std::int64_t scratch_d = r + 2 * (k - 1);
-  if (boundary != Boundary3::Periodic && scratch_d > extent.nz) return false;
-  return true;
+  return extent.nx > 0 && extent.ny > 0 &&
+         lgca::tiling_feasible(tiling, extent.nz, to_boundary2(boundary));
 }
 
 void plane_gas_run_tiled3(PlaneLattice3& lat, std::int64_t generations,
                           std::int64_t t0, unsigned threads,
                           const lgca::TemporalTiling& tiling,
                           lgca::PlaneRunHooks* hooks) {
-  LATTICE_REQUIRE(threads >= 1, "need at least one worker thread");
-  LATTICE_REQUIRE(generations >= 0, "generations must be >= 0");
-  if (generations == 0) return;
-  const Extent3 e = lat.extent3();
+  if (!lgca::runnable(threads, generations, lat.extent3().volume())) return;
   if (generations < 2 ||
-      !temporal_tiling_feasible3(tiling, e, lat.boundary3())) {
+      !temporal_tiling_feasible3(tiling, lat.extent3(), lat.boundary3())) {
     plane_gas_run3(lat, generations, t0, threads, 0, hooks);
     return;
   }
-  const PlaneKernel3& kernel = PlaneKernel3::get();
-  const std::int64_t k = tiling.depth;
-  const std::int64_t tiles = (e.nz + tiling.tile_rows - 1) / tiling.tile_rows;
-  const std::int64_t tile_planes = (e.nz + tiles - 1) / tiles;
-  const std::int64_t scratch_d = tiling.tile_rows + 2 * (k - 1);
-  const Extent3 scratch_extent{e.nx, e.ny, scratch_d};
-  const unsigned lanes = static_cast<unsigned>(std::min<std::int64_t>(
-      std::min<std::int64_t>(threads, tiles),
-      common::ThreadPool::shared().max_lanes()));
-
-  const BitplaneObs& ids = BitplaneObs::get();
-  obs::gauge_set(ids.depth, k);
-  obs::gauge_set(ids.tiles, tiles);
-
-  PlaneLattice3 next(e, lat.boundary3());
-  kernel.prime_static_planes(lat, next);
-  lat.prepare_shift_halo(kernel.halo_planes(), 0, e.nz);
-  if (hooks != nullptr) {
-    hooks->run_begin(lat.inner(), kernel.written_planes(),
-                     kernel.halo_planes(), t0);
-  }
-
-  if (lanes <= 1) {
-    PlaneLattice3 s0(scratch_extent, lat.boundary3());
-    PlaneLattice3 s1(scratch_extent, lat.boundary3());
-    std::int64_t done = 0;
-    while (done < generations) {
-      const std::int64_t kb = std::min(k, generations - done);
-      const std::int64_t t = t0 + done;
-      if (hooks != nullptr) hooks->before_rows(lat.inner(), t, 0, e.ny * e.nz);
-      for (std::int64_t tile = 0; tile < tiles; ++tile) {
-        const obs::ScopedTimer timer(ids.tile_ns);
-        const std::int64_t z0 = tile * tile_planes;
-        const std::int64_t z1 = std::min(e.nz, z0 + tile_planes);
-        run_plane_tile3(next, lat, kernel, t, kb, z0, z1, &s0, &s1);
-      }
-      if (hooks != nullptr) {
-        hooks->after_rows(next.inner(), t + kb - 1, 0, e.ny * e.nz);
-      }
-      std::swap(lat, next);
-      done += kb;
-    }
-  } else {
-    // Independent tiles (redundant seam recompute), one barrier per
-    // block; hooks at block granularity from lane 0, as in 2-D.
-    std::barrier sync(static_cast<std::ptrdiff_t>(lanes),
-                      [&]() noexcept { std::swap(lat, next); });
-    std::barrier<> hook_sync(static_cast<std::ptrdiff_t>(lanes));
-    common::ThreadPool::shared().run_lanes(lanes, [&](unsigned lane) {
-      PlaneLattice3 s0(scratch_extent, lat.boundary3());
-      PlaneLattice3 s1(scratch_extent, lat.boundary3());
-      const TileRange range = lane_tiles(tiles, lanes, lane);
-      std::int64_t done = 0;
-      while (done < generations) {
-        const std::int64_t kb = std::min(k, generations - done);
-        const std::int64_t t = t0 + done;
-        if (hooks != nullptr) {
-          if (lane == 0) hooks->before_rows(lat.inner(), t, 0, e.ny * e.nz);
-          hook_sync.arrive_and_wait();
-        }
-        for (std::int64_t tile = range.lo; tile < range.hi; ++tile) {
-          const obs::ScopedTimer timer(ids.tile_ns);
-          const std::int64_t z0 = tile * tile_planes;
-          const std::int64_t z1 = std::min(e.nz, z0 + tile_planes);
-          run_plane_tile3(next, lat, kernel, t, kb, z0, z1, &s0, &s1);
-        }
-        if (hooks != nullptr) {
-          hook_sync.arrive_and_wait();
-          if (lane == 0) {
-            hooks->after_rows(next.inner(), t + kb - 1, 0, e.ny * e.nz);
-          }
-        }
-        sync.arrive_and_wait();
-        done += kb;
-      }
-    });
-  }
-  obs::count(ids.sites, e.volume() * generations);
-  obs::count(ids.words, generations * e.ny * e.nz * lat.words_per_row() *
-                            PlaneLattice3::kPlanes);
+  lgca::run_tiled(PlaneSlabs{}, lat, generations, t0, threads, tiling, hooks);
 }
-
-namespace {
-
-struct TransposeObs {
-  obs::MetricsRegistry::Id pack = obs::histogram_id("bitplane.pack_ns");
-  obs::MetricsRegistry::Id update = obs::histogram_id("bitplane.update_ns");
-  obs::MetricsRegistry::Id unpack = obs::histogram_id("bitplane.unpack_ns");
-  static const TransposeObs& get() {
-    static const TransposeObs ids;
-    return ids;
-  }
-};
-
-template <typename Run>
-void packed_run3(PlaneLattice3& planes, const Run& run) {
-  const TransposeObs& ids = TransposeObs::get();
-  {
-    obs::ScopedTimer update_timer(ids.update);
-    const obs::TraceSpan update_span("bitplane.update");
-    run(planes);
-  }
-}
-
-}  // namespace
 
 void bitplane_gas_run3(Lattice3& lat, std::int64_t generations,
                        std::int64_t t0, unsigned threads,
                        std::int64_t band_grain_words,
                        lgca::PlaneRunHooks* hooks) {
-  const TransposeObs& ids = TransposeObs::get();
-  PlaneLattice3 planes;
-  {
-    const obs::ScopedTimer pack_timer(ids.pack);
-    const obs::TraceSpan pack_span("bitplane.pack");
-    planes = PlaneLattice3(lat);
-  }
-  packed_run3(planes, [&](PlaneLattice3& p) {
-    plane_gas_run3(p, generations, t0, threads, band_grain_words, hooks);
+  const auto pack = [&] { return PlaneLattice3(lat); };
+  lgca::packed_run(lat, pack, [&](PlaneLattice3& planes) {
+    plane_gas_run3(planes, generations, t0, threads, band_grain_words, hooks);
   });
-  const obs::ScopedTimer unpack_timer(ids.unpack);
-  const obs::TraceSpan unpack_span("bitplane.unpack");
-  planes.unpack(lat);
 }
 
 void bitplane_gas_run_tiled3(Lattice3& lat, std::int64_t generations,
                              std::int64_t t0, unsigned threads,
                              const lgca::TemporalTiling& tiling,
                              lgca::PlaneRunHooks* hooks) {
-  const TransposeObs& ids = TransposeObs::get();
-  PlaneLattice3 planes;
-  {
-    const obs::ScopedTimer pack_timer(ids.pack);
-    const obs::TraceSpan pack_span("bitplane.pack");
-    planes = PlaneLattice3(lat);
-  }
-  packed_run3(planes, [&](PlaneLattice3& p) {
-    plane_gas_run_tiled3(p, generations, t0, threads, tiling, hooks);
+  const auto pack = [&] { return PlaneLattice3(lat); };
+  lgca::packed_run(lat, pack, [&](PlaneLattice3& planes) {
+    plane_gas_run_tiled3(planes, generations, t0, threads, tiling, hooks);
   });
-  const obs::ScopedTimer unpack_timer(ids.unpack);
-  const obs::TraceSpan unpack_span("bitplane.unpack");
-  planes.unpack(lat);
 }
 
 void bitplane_gas_run3(lgca::SiteLattice& lat, Extent3 extent,
@@ -578,19 +283,10 @@ void bitplane_gas_run3(lgca::SiteLattice& lat, Extent3 extent,
                        lgca::PlaneRunHooks* hooks) {
   LATTICE_REQUIRE(lat.extent() == flat_extent(extent),
                   "bitplane_gas_run3: flattened extent mismatch");
-  const TransposeObs& ids = TransposeObs::get();
-  PlaneLattice3 planes(extent, to_boundary3(lat.boundary()));
-  {
-    const obs::ScopedTimer pack_timer(ids.pack);
-    const obs::TraceSpan pack_span("bitplane.pack");
-    planes.pack(lat);
-  }
-  packed_run3(planes, [&](PlaneLattice3& p) {
-    plane_gas_run3(p, generations, t0, threads, band_grain_words, hooks);
+  const auto pack = [&] { return pack_flat(lat, extent); };
+  lgca::packed_run(lat, pack, [&](PlaneLattice3& planes) {
+    plane_gas_run3(planes, generations, t0, threads, band_grain_words, hooks);
   });
-  const obs::ScopedTimer unpack_timer(ids.unpack);
-  const obs::TraceSpan unpack_span("bitplane.unpack");
-  planes.unpack(lat);
 }
 
 void bitplane_gas_run_tiled3(lgca::SiteLattice& lat, Extent3 extent,
@@ -600,19 +296,10 @@ void bitplane_gas_run_tiled3(lgca::SiteLattice& lat, Extent3 extent,
                              lgca::PlaneRunHooks* hooks) {
   LATTICE_REQUIRE(lat.extent() == flat_extent(extent),
                   "bitplane_gas_run_tiled3: flattened extent mismatch");
-  const TransposeObs& ids = TransposeObs::get();
-  PlaneLattice3 planes(extent, to_boundary3(lat.boundary()));
-  {
-    const obs::ScopedTimer pack_timer(ids.pack);
-    const obs::TraceSpan pack_span("bitplane.pack");
-    planes.pack(lat);
-  }
-  packed_run3(planes, [&](PlaneLattice3& p) {
-    plane_gas_run_tiled3(p, generations, t0, threads, tiling, hooks);
+  const auto pack = [&] { return pack_flat(lat, extent); };
+  lgca::packed_run(lat, pack, [&](PlaneLattice3& planes) {
+    plane_gas_run_tiled3(planes, generations, t0, threads, tiling, hooks);
   });
-  const obs::ScopedTimer unpack_timer(ids.unpack);
-  const obs::TraceSpan unpack_span("bitplane.unpack");
-  planes.unpack(lat);
 }
 
 }  // namespace lattice::lgca3d

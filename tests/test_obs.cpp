@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
@@ -13,12 +14,14 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lattice/common/thread_pool.hpp"
 #include "lattice/core/engine.hpp"
 #include "lattice/core/metrics_report.hpp"
 #include "lattice/lgca/init.hpp"
+#include "lattice/lgca3d/lattice3.hpp"
 #include "lattice/obs/json.hpp"
 #include "lattice/obs/metrics.hpp"
 #include "lattice/obs/trace.hpp"
@@ -275,7 +278,8 @@ TEST(Histogram, BucketBoundariesArePowersOfTwo) {
   reg.record(id, 8);    // bucket 4: [8, 16)
   reg.record(id, 1023);  // bucket 10: [512, 1024)
   reg.record(id, 1024);  // bucket 11: [1024, 2048)
-  const obs::HistogramStats* h = reg.snapshot().find_histogram("test.buckets");
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::HistogramStats* h = snap.find_histogram("test.buckets");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 10);
   EXPECT_EQ(h->min, -5);
@@ -301,7 +305,8 @@ TEST(Histogram, SumMeanAndQuantiles) {
     reg.record(id, v);
     sum += v;
   }
-  const obs::HistogramStats* h = reg.snapshot().find_histogram("test.quant");
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::HistogramStats* h = snap.find_histogram("test.quant");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 100);
   EXPECT_EQ(h->sum, sum);
@@ -328,7 +333,8 @@ TEST(Histogram, ParallelRecordsKeepExactCountAndSum) {
     });
   }
   for (std::thread& w : workers) w.join();
-  const obs::HistogramStats* h = reg.snapshot().find_histogram("test.par_hist");
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::HistogramStats* h = snap.find_histogram("test.par_hist");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, kThreads * kEach);
   EXPECT_EQ(h->sum, kEach * (1 + 2 + 3 + 4 + 5 + 6));
@@ -452,6 +458,55 @@ TEST(EngineSnapshot, PhasesAccountForWallClock) {
   EXPECT_EQ(report.metrics.counter_or("engine.generations"), 32);
   EXPECT_EQ(report.metrics.counter_or("engine.site_updates"), 128 * 128 * 32);
   EXPECT_EQ(report.metrics.counter_or("reference.sites"), 128 * 128 * 32);
+}
+
+// The phase table follows the executor the engine runs, so the check
+// above holds for every backend — the 3-D ones included, whose pass
+// histograms a hand-kept list of backend names once left out.
+TEST(EngineSnapshot, PhasesAccountForWallClockOnEveryBackend) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with LATTICE_OBS=OFF";
+  const std::pair<core::Backend, std::string> backends[] = {
+      {core::Backend::Reference, "reference"},
+      {core::Backend::Wsa, "wsa"},
+      {core::Backend::Spa, "spa"},
+      {core::Backend::BitPlane, "bitplane"},
+      {core::Backend::WsaE, "wsa_e"},
+      {core::Backend::Reference3, "reference3"},
+      {core::Backend::BitPlane3, "bitplane3"},
+  };
+  for (const auto& [backend, name] : backends) {
+    SCOPED_TRACE(name);
+    obs::MetricsRegistry::global().reset();
+    core::LatticeEngine::Config config;
+    config.extent = {64, 48};
+    config.gas = lgca::GasKind::FHP_II;
+    config.backend = backend;
+    config.pipeline_depth = 4;
+    config.wsa_width = 2;
+    config.spa_slice_width = 8;
+    const bool volume = core::backend_is_3d(backend);
+    if (volume) config.depth = 16;
+    core::LatticeEngine engine(config);
+    if (volume) {
+      lgca3d::Lattice3 vol({64, 48, 16}, lgca3d::Boundary3::Null);
+      lgca3d::fill_random(vol, 0.3, 13);
+      std::copy(vol.data(), vol.data() + vol.site_count(),
+                engine.state().grid().data());
+    } else {
+      lgca::fill_random(engine.state(), engine.gas_model(), 0.3, 13);
+    }
+    engine.advance(32);
+
+    const core::MetricsReport report = engine.snapshot();
+    EXPECT_GT(report.wall_seconds, 0);
+    bool has_pass = false;
+    for (const core::MetricsPhase& p : report.phases) {
+      if (p.name == "engine.pass." + name + "_ns") has_pass = p.count > 0;
+    }
+    EXPECT_TRUE(has_pass);
+    EXPECT_GT(report.phase_seconds(), 0.5 * report.wall_seconds);
+    EXPECT_LT(report.phase_seconds(), 1.1 * report.wall_seconds + 1e-3);
+  }
 }
 
 // BitPlane gets the same first-class per-pass stage as every other

@@ -83,7 +83,8 @@ std::string error_code(const std::string& response) {
 }
 
 bool response_ok(const std::string& response) {
-  const JsonValue* f = parse_json(response).find("ok");
+  const JsonValue v = parse_json(response);
+  const JsonValue* f = v.find("ok");
   return f != nullptr && f->bool_or(false);
 }
 
@@ -638,7 +639,7 @@ class FramingTest : public ::testing::Test {
 
 TEST_F(FramingTest, GarbageTruncatedAndSplitFramesAllAnswered) {
   // Binary garbage (no JSON anywhere) gets a parse_error.
-  send_raw(std::string("\x01\x02\xff\xfe garbage\n", 17));
+  send_raw(std::string("\x01\x02\xff\xfe garbage\n"));
   EXPECT_EQ(error_code(read_response()), "parse_error");
   // A frame truncated mid-object (newline arrives early).
   send_raw("{\"op\":\"create\",\"wid\n");
