@@ -8,10 +8,11 @@
 //
 // max_chunk() takes everything in one pass: pipeline_depth is a
 // hardware parameter with no meaning for this backend, and chunking by
-// it would re-pay the pack/unpack transpose per chunk. One pass per
-// advance() also gives snapshot() a single engine.pass.bitplane_ns (or
-// bitplane3_ns) sample per call, with the bitplane.pack/update/unpack
-// stages nested underneath it.
+// it would re-pay the pack/unpack transpose (about one scalar FHP-II
+// generation each way) per chunk. One pass per advance() also gives
+// snapshot() a single engine.pass.bitplane_ns (or bitplane3_ns) sample
+// per call, with the bitplane.pack/update/unpack stages nested
+// underneath it.
 
 #include <optional>
 

@@ -95,8 +95,9 @@ class GasModel {
   /// Particle count of a site state (excludes obstacle bit).
   int mass(Site s) const noexcept { return particle_count(s); }
 
-  /// Integer momentum of a site state (rest particle carries none).
-  Momentum momentum(Site s) const noexcept;
+  /// Integer momentum of a site state (rest particle carries none):
+  /// one read of a table the constructor builds from the channels.
+  Momentum momentum(Site s) const noexcept { return momentum_[s]; }
 
   /// Reflect every moving particle into its opposite channel.
   Site reflect(Site s) const noexcept;
@@ -110,6 +111,7 @@ class GasModel {
   Topology topology_;
   bool has_rest_;
   std::array<std::array<Site, 256>, 2> table_{};
+  std::array<Momentum, 256> momentum_{};
 };
 
 }  // namespace lattice::lgca

@@ -206,8 +206,8 @@ void plane_gas_run(PlaneLattice& lat, const PlaneKernel& kernel,
                    PlaneRunHooks* hooks = nullptr);
 
 /// Byte-lattice convenience wrapper: pack once, run, unpack once. The
-/// transpose costs ~one byte-path generation, so it amortizes over
-/// multi-generation runs.
+/// word-parallel transpose costs about one scalar FHP-II generation
+/// each way, so it amortizes within a few generations.
 void bitplane_gas_run(SiteLattice& lat, const PlaneKernel& kernel,
                       std::int64_t generations, std::int64_t t0 = 0,
                       unsigned threads = 1, std::int64_t band_grain_words = 0,

@@ -382,8 +382,9 @@ void run_tiled(const A& a, typename A::Lattice& lat,
 /// The byte-storage wrapper of every plane runner: pack once, run, and
 /// unpack once, each stage under its bitplane.pack/update/unpack timer
 /// and trace span. `pack()` returns the packed planes; `run(planes)`
-/// advances them. The transpose costs about one byte-path generation,
-/// so it amortizes over multi-generation runs.
+/// advances them. The transpose is word-parallel, ~2.5 word ops per
+/// site each way, about one scalar FHP-II generation
+/// (docs/PERFORMANCE.md), so it amortizes within a few generations.
 template <class Sites, class Pack, class Run>
 void packed_run(Sites& sites, const Pack& pack, const Run& run) {
   const BitplaneObs& ids = BitplaneObs::get();

@@ -65,6 +65,16 @@ GasModel::GasModel(GasKind kind)
     : kind_(kind),
       topology_(kind == GasKind::HPP ? Topology::Square4 : Topology::Hex6),
       has_rest_(kind == GasKind::FHP_II || kind == GasKind::FHP_III) {
+  // Before the collision tables: the FHP-III class build reads momentum().
+  for (unsigned s = 0; s < 256; ++s) {
+    Momentum m;
+    for (int d = 0; d < channels(); ++d) {
+      if (has_channel(static_cast<Site>(s), d)) {
+        m = m + momentum_of(topology_, d);
+      }
+    }
+    momentum_[s] = m;
+  }
   if (kind == GasKind::FHP_III) {
     build_saturated_table();
   } else {
@@ -92,14 +102,6 @@ std::uint64_t GasModel::chirality_mask64(std::int64_t x0, std::int64_t y,
     xi += detail::kChirMixX;
   }
   return mask;
-}
-
-Momentum GasModel::momentum(Site s) const noexcept {
-  Momentum m;
-  for (int d = 0; d < channels(); ++d) {
-    if (has_channel(s, d)) m = m + momentum_of(topology_, d);
-  }
-  return m;
 }
 
 Site GasModel::reflect(Site s) const noexcept {

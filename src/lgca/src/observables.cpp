@@ -107,11 +107,14 @@ std::vector<double> momentum_profile_x(const SiteLattice& lat,
   const Extent e = lat.extent();
   std::vector<double> profile(static_cast<std::size_t>(e.height), 0.0);
   for (std::int64_t y = 0; y < e.height; ++y) {
-    double px = 0;
+    // Per-site px is a small integer, so an integer row sum is exact
+    // and converts once.
+    const Site* row = lat.grid().data() + linear_index(e, {0, y});
+    std::int64_t px = 0;
     for (std::int64_t x = 0; x < e.width; ++x) {
-      px += model.momentum(lat.at({x, y})).px;
+      px += model.momentum(row[x]).px;
     }
-    profile[static_cast<std::size_t>(y)] = px;
+    profile[static_cast<std::size_t>(y)] = static_cast<double>(px);
   }
   return profile;
 }

@@ -1,8 +1,90 @@
 #include "lattice/lgca/plane_lattice.hpp"
 
-#include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace lattice::lgca {
+
+namespace {
+
+// The transpose loads eight sites as one word, site 8·i + j in byte j
+// of word i: that is the little-endian byte order. A big-endian build
+// would pack the planes in the wrong order, so it must not compile.
+static_assert(std::endian::native == std::endian::little,
+              "PlaneLattice's transpose assumes little-endian words");
+
+/// Swap the `mask` fields of `a >> s` with the same fields of `b`:
+/// one delta swap.
+void swap_fields(std::uint64_t& a, std::uint64_t& b, int s,
+                 std::uint64_t mask) noexcept {
+  const std::uint64_t t = ((a >> s) ^ b) & mask;
+  a ^= t << s;
+  b ^= t;
+}
+
+// A group of 64 sites is eight words, and each of its bits has a 3-bit
+// word, byte and bit index. Sites hold (word, byte, bit) = (site / 8,
+// site % 8, plane); planes want (plane, site / 8, site % 8). That is
+// two index exchanges, word↔byte and then word↔bit, of three
+// delta-swap rounds over four word pairs each: 144 ALU word ops per
+// 64 sites each way. The rounds are written out so the eight words
+// stay in registers.
+
+constexpr std::uint64_t kLow32 = 0x00000000FFFFFFFFULL;
+constexpr std::uint64_t kLow16 = 0x0000FFFF0000FFFFULL;
+constexpr std::uint64_t kLow8 = 0x00FF00FF00FF00FFULL;
+constexpr std::uint64_t kLow4 = 0x0F0F0F0F0F0F0F0FULL;
+constexpr std::uint64_t kLow2 = 0x3333333333333333ULL;
+constexpr std::uint64_t kLow1 = 0x5555555555555555ULL;
+
+/// Byte j of w[i] ↔ byte i of w[j]: the 8×8 byte transpose. Its own
+/// inverse.
+void transpose_bytes(std::uint64_t (&w)[8]) noexcept {
+  swap_fields(w[0], w[4], 32, kLow32);
+  swap_fields(w[1], w[5], 32, kLow32);
+  swap_fields(w[2], w[6], 32, kLow32);
+  swap_fields(w[3], w[7], 32, kLow32);
+  swap_fields(w[0], w[2], 16, kLow16);
+  swap_fields(w[1], w[3], 16, kLow16);
+  swap_fields(w[4], w[6], 16, kLow16);
+  swap_fields(w[5], w[7], 16, kLow16);
+  swap_fields(w[0], w[1], 8, kLow8);
+  swap_fields(w[2], w[3], 8, kLow8);
+  swap_fields(w[4], w[5], 8, kLow8);
+  swap_fields(w[6], w[7], 8, kLow8);
+}
+
+/// Bit c of byte j of w[i] ↔ bit i of byte j of w[c]: an 8×8 bit
+/// transpose in every byte column. Its own inverse.
+void transpose_bits(std::uint64_t (&w)[8]) noexcept {
+  swap_fields(w[0], w[4], 4, kLow4);
+  swap_fields(w[1], w[5], 4, kLow4);
+  swap_fields(w[2], w[6], 4, kLow4);
+  swap_fields(w[3], w[7], 4, kLow4);
+  swap_fields(w[0], w[2], 2, kLow2);
+  swap_fields(w[1], w[3], 2, kLow2);
+  swap_fields(w[4], w[6], 2, kLow2);
+  swap_fields(w[5], w[7], 2, kLow2);
+  swap_fields(w[0], w[1], 1, kLow1);
+  swap_fields(w[2], w[3], 1, kLow1);
+  swap_fields(w[4], w[5], 1, kLow1);
+  swap_fields(w[6], w[7], 1, kLow1);
+}
+
+/// 64 sites to 8 plane words, in place: on entry byte j of w[i] is
+/// site 8·i + j; on exit bit 8·i + j of w[p] is plane p of that site.
+void sites_to_planes(std::uint64_t (&w)[8]) noexcept {
+  transpose_bytes(w);
+  transpose_bits(w);
+}
+
+/// The inverse of sites_to_planes: the same exchanges, reversed.
+void planes_to_sites(std::uint64_t (&w)[8]) noexcept {
+  transpose_bits(w);
+  transpose_bytes(w);
+}
+
+}  // namespace
 
 PlaneLattice::PlaneLattice(Extent extent, Boundary boundary)
     : extent_(extent), boundary_(boundary) {
@@ -34,6 +116,7 @@ void PlaneLattice::pack(const SiteLattice& sites) {
   LATTICE_REQUIRE(sites.boundary() == boundary_,
                   "pack: byte lattice boundary mode does not match");
   const std::int64_t w = extent_.width;
+  const std::int64_t full = w / kWordBits;
   for (std::int64_t y = 0; y < extent_.height; ++y) {
     const Site* src = sites.grid().data() + linear_index(extent_, {0, y});
     std::uint64_t* rows[kPlanes];
@@ -43,16 +126,16 @@ void PlaneLattice::pack(const SiteLattice& sites) {
       rows[p][words_] = 0;
     }
     for (std::int64_t k = 0; k < words_; ++k) {
-      const int n = static_cast<int>(std::min<std::int64_t>(
-          kWordBits, w - k * kWordBits));
-      std::uint64_t acc[kPlanes] = {};
-      for (int j = 0; j < n; ++j) {
-        const std::uint64_t s = src[k * kWordBits + j];
-        for (int p = 0; p < kPlanes; ++p) {
-          acc[p] |= ((s >> p) & 1u) << j;
-        }
+      // A partial last word zero-pads, which keeps its tail bits zero.
+      std::uint64_t g[kPlanes] = {};
+      if (k < full) {
+        std::memcpy(g, src + k * kWordBits, sizeof g);
+      } else {
+        std::memcpy(g, src + k * kWordBits,
+                    static_cast<std::size_t>(w - k * kWordBits));
       }
-      for (int p = 0; p < kPlanes; ++p) rows[p][k] = acc[p];
+      sites_to_planes(g);
+      for (int p = 0; p < kPlanes; ++p) rows[p][k] = g[p];
     }
   }
 }
@@ -61,21 +144,22 @@ void PlaneLattice::unpack(SiteLattice& sites) const {
   LATTICE_REQUIRE(sites.extent() == extent_,
                   "unpack: byte lattice extent does not match");
   const std::int64_t w = extent_.width;
+  const std::int64_t full = w / kWordBits;
   for (std::int64_t y = 0; y < extent_.height; ++y) {
     Site* dst = sites.grid().data() + linear_index(extent_, {0, y});
     const std::uint64_t* rows[kPlanes];
     for (int p = 0; p < kPlanes; ++p) rows[p] = row(p, y);
     for (std::int64_t k = 0; k < words_; ++k) {
-      const int n = static_cast<int>(std::min<std::int64_t>(
-          kWordBits, w - k * kWordBits));
-      std::uint64_t word[kPlanes];
-      for (int p = 0; p < kPlanes; ++p) word[p] = rows[p][k];
-      for (int j = 0; j < n; ++j) {
-        std::uint64_t s = 0;
-        for (int p = 0; p < kPlanes; ++p) {
-          s |= ((word[p] >> j) & 1u) << p;
-        }
-        dst[k * kWordBits + j] = static_cast<Site>(s);
+      std::uint64_t g[kPlanes];
+      for (int p = 0; p < kPlanes; ++p) g[p] = rows[p][k];
+      planes_to_sites(g);
+      // Only a partial last word's valid bytes are copied: its tail
+      // bits may hold halo content that must not reach the sites.
+      if (k < full) {
+        std::memcpy(dst + k * kWordBits, g, sizeof g);
+      } else {
+        std::memcpy(dst + k * kWordBits, g,
+                    static_cast<std::size_t>(w - k * kWordBits));
       }
     }
   }

@@ -53,6 +53,21 @@ TEST_P(GasModelTest, MomentumConservedForFreeSites) {
   }
 }
 
+// momentum() reads a table the constructor builds; it must equal the
+// sum of the occupied channels' momenta for every byte state (rest,
+// obstacle and spare bits carry none).
+TEST_P(GasModelTest, MomentumTableIsTheChannelSum) {
+  const GasModel& m = model();
+  for (unsigned in = 0; in < 256; ++in) {
+    const Site s = static_cast<Site>(in);
+    Momentum want;
+    for (int d = 0; d < m.channels(); ++d) {
+      if (has_channel(s, d)) want = want + momentum_of(m.topology(), d);
+    }
+    EXPECT_EQ(m.momentum(s), want) << "state " << in;
+  }
+}
+
 TEST_P(GasModelTest, ObstacleSitesReverseMomentum) {
   const GasModel& m = model();
   for (unsigned in = 0; in < 256; ++in) {

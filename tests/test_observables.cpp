@@ -43,6 +43,24 @@ TEST(Invariants, RestParticlesHaveMassButNoMomentum) {
   EXPECT_EQ(inv.py, 0);
 }
 
+TEST(MomentumProfile, RowsSumTheirSitesPx) {
+  // Non-square so a row/column mix-up shows; site i holds state 7·i
+  // (mod 256) so obstacle and spare bits are summed too.
+  const GasModel& m = GasModel::get(GasKind::FHP_II);
+  SiteLattice lat({37, 5}, Boundary::Periodic);
+  for (std::size_t i = 0; i < lat.site_count(); ++i)
+    lat[i] = static_cast<Site>(i * 7);
+  const std::vector<double> profile = momentum_profile_x(lat, m);
+  ASSERT_EQ(profile.size(), 5u);
+  for (std::int64_t y = 0; y < 5; ++y) {
+    std::int64_t want = 0;
+    for (std::int64_t x = 0; x < 37; ++x)
+      want += m.momentum(lat.at({x, y})).px;
+    EXPECT_EQ(profile[static_cast<std::size_t>(y)], static_cast<double>(want))
+        << "row " << y;
+  }
+}
+
 TEST(CoarseGrain, DensityAveragesOverCells) {
   const GasModel& m = GasModel::get(GasKind::HPP);
   SiteLattice lat({8, 8}, Boundary::Periodic);

@@ -1,12 +1,15 @@
 // PlaneLattice — the bit-plane transpose of SiteLattice. Round-trip
 // property tests over awkward widths (word-aligned, one-under/over,
-// sub-word, single-column), the tail-bit and guard-word invariants of
-// the shift halo, and the packed chirality hash against its scalar
-// original, lane for lane.
+// sub-word, single-column), the word-parallel transpose against a
+// per-bit oracle, word for word at every width 1–130, the tail-bit and
+// guard-word invariants of the shift halo, and the packed chirality
+// hash against its scalar original, lane for lane.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <bitset>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -199,6 +202,131 @@ TEST(PlaneLattice, PackReplacesPriorContents) {
   planes.prepare_shift_halo();
   planes.pack(second);
   EXPECT_TRUE(planes.to_sites() == second);
+}
+
+// ---- the word-parallel transpose against the per-bit oracle ----
+
+/// The oracle for PlaneLattice::pack: the per-bit transpose, one bit
+/// of one site at a time.
+void oracle_pack(const SiteLattice& sites, PlaneLattice& planes) {
+  const std::int64_t w = sites.extent().width;
+  const std::int64_t words = planes.words_per_row();
+  for (std::int64_t y = 0; y < sites.extent().height; ++y) {
+    for (int p = 0; p < PlaneLattice::kPlanes; ++p) {
+      std::uint64_t* r = planes.row(p, y);
+      r[-1] = 0;
+      r[words] = 0;
+      for (std::int64_t k = 0; k < words; ++k) {
+        const std::int64_t n = std::min<std::int64_t>(64, w - k * 64);
+        std::uint64_t acc = 0;
+        for (std::int64_t j = 0; j < n; ++j) {
+          const std::uint64_t s = sites.at({k * 64 + j, y});
+          acc |= ((s >> p) & 1u) << j;
+        }
+        r[k] = acc;
+      }
+    }
+  }
+}
+
+/// The oracle for PlaneLattice::unpack, per bit; bits past the row's
+/// width are never read.
+void oracle_unpack(const PlaneLattice& planes, SiteLattice& sites) {
+  const std::int64_t w = sites.extent().width;
+  for (std::int64_t y = 0; y < sites.extent().height; ++y) {
+    for (std::int64_t x = 0; x < w; ++x) {
+      std::uint64_t s = 0;
+      for (int p = 0; p < PlaneLattice::kPlanes; ++p)
+        s |= ((planes.row(p, y)[x / 64] >> (x % 64)) & 1u) << p;
+      sites.at({x, y}) = static_cast<Site>(s);
+    }
+  }
+}
+
+/// Every word of every row, guards at -1 and words_per_row() included.
+void expect_same_words(const PlaneLattice& got, const PlaneLattice& want) {
+  ASSERT_EQ(got.words_per_row(), want.words_per_row());
+  for (int p = 0; p < PlaneLattice::kPlanes; ++p)
+    for (std::int64_t y = 0; y < got.extent().height; ++y)
+      for (std::int64_t k = -1; k <= got.words_per_row(); ++k)
+        ASSERT_EQ(got.row(p, y)[k], want.row(p, y)[k])
+            << "plane " << p << " row " << y << " word " << k;
+}
+
+/// Random words over every row's guards, payload and tail bits.
+void dirty_rows(PlaneLattice& planes, std::mt19937_64& rng) {
+  for (int p = 0; p < PlaneLattice::kPlanes; ++p)
+    for (std::int64_t y = 0; y < planes.extent().height; ++y)
+      for (std::int64_t k = -1; k <= planes.words_per_row(); ++k)
+        planes.row(p, y)[k] = rng();
+}
+
+/// Runs `check(extent, boundary, seed)` on every width 1–130, heights
+/// 1 and 3, both boundaries.
+template <class Check>
+void for_each_transpose_shape(const Check& check) {
+  std::uint32_t seed = 0;
+  for (const Boundary b : {Boundary::Null, Boundary::Periodic}) {
+    SCOPED_TRACE(b == Boundary::Null ? "Null" : "Periodic");
+    for (const std::int64_t h : {1, 3}) {
+      for (std::int64_t w = 1; w <= 130; ++w) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+        check(Extent{w, h}, b, ++seed);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(TransposeOracle, PackMatchesPerBitLoopWordForWord) {
+  std::bitset<256> seen;
+  for_each_transpose_shape([&](Extent e, Boundary b, std::uint32_t seed) {
+    const SiteLattice sites = random_sites(e, b, seed);
+    for (std::size_t i = 0; i < sites.site_count(); ++i) seen.set(sites[i]);
+    PlaneLattice want(e, b);
+    oracle_pack(sites, want);
+
+    const PlaneLattice fresh(sites);
+    expect_same_words(fresh, want);
+    // Guards and tail bits dirtied first must come back as the oracle
+    // writes them: guards zero, tail bits zero.
+    PlaneLattice dirty(e, b);
+    std::mt19937_64 rng(seed);
+    dirty_rows(dirty, rng);
+    dirty.pack(sites);
+    expect_same_words(dirty, want);
+    const std::int64_t last = dirty.words_per_row() - 1;
+    for (int p = 0; p < PlaneLattice::kPlanes; ++p)
+      for (std::int64_t y = 0; y < e.height; ++y)
+        ASSERT_EQ(dirty.row(p, y)[last] & ~dirty.tail_mask(), 0u)
+            << "plane " << p << " row " << y;
+  });
+  EXPECT_TRUE(seen.all()) << seen.count() << " of 256 site states packed";
+}
+
+TEST(TransposeOracle, UnpackMatchesPerBitLoop) {
+  for_each_transpose_shape([](Extent e, Boundary b, std::uint32_t seed) {
+    // Random words in every payload word, tail bits and guards
+    // included: no bit past the width may reach the sites.
+    PlaneLattice planes(e, b);
+    std::mt19937_64 rng(seed);
+    dirty_rows(planes, rng);
+    SiteLattice got(e, b);
+    SiteLattice want(e, b);
+    planes.unpack(got);
+    oracle_unpack(planes, want);
+    ASSERT_TRUE(got == want);
+
+    // A periodic halo fill writes wrapped row content into the tail
+    // bits; unpack must still return exactly the packed sites.
+    const SiteLattice sites = random_sites(e, b, seed);
+    PlaneLattice filled(sites);
+    filled.prepare_shift_halo();
+    filled.unpack(got);
+    oracle_unpack(filled, want);
+    ASSERT_TRUE(got == want);
+    ASSERT_TRUE(got == sites);
+  });
 }
 
 TEST(ChiralityMask, MatchesScalarHashLaneForLane) {
