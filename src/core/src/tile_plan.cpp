@@ -10,15 +10,7 @@ namespace lattice::core {
 
 std::int64_t plane_row_bytes(Extent extent) {
   using lgca::PlaneLattice;
-  const std::int64_t words =
-      (extent.width + PlaneLattice::kWordBits - 1) / PlaneLattice::kWordBits;
-  // Mirror the PlaneLattice stride: kRowPad guard/alignment words plus
-  // the payload, the trailing guard, rounded up to the pad quantum.
-  const std::int64_t stride =
-      PlaneLattice::kRowPad + (words + 1 + PlaneLattice::kRowPad - 1) /
-                                  PlaneLattice::kRowPad *
-                                  PlaneLattice::kRowPad;
-  return PlaneLattice::kPlanes * stride *
+  return PlaneLattice::kPlanes * PlaneLattice::row_stride_for(extent.width) *
          (PlaneLattice::kWordBits / 8);
 }
 

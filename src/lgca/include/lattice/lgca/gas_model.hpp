@@ -43,13 +43,13 @@ enum class GasKind { HPP, FHP_I, FHP_II, FHP_III };
 std::string_view gas_kind_name(GasKind k) noexcept;
 
 namespace detail {
-// Constants of the chirality hash, shared by the scalar per-site form
-// (GasModel::chirality) and the packed 64-lane form the bit-plane
-// kernel consumes (GasModel::chirality_mask64). Splitmix64-flavored
-// multipliers; the two forms must stay bit-identical, which is what
-// sharing these constants (and a test) enforces.
+// Constants of the chirality hash, shared by the 2-D form
+// (GasModel::chirality) and the cubic gas's (lgca3d::Gas3Model::
+// chirality), whose z term is its only addition: at z = 0 the two
+// hashes agree, which a test pins. Splitmix64-flavored multipliers.
 inline constexpr std::uint64_t kChirMixX = 0x9e3779b97f4a7c15ULL;
 inline constexpr std::uint64_t kChirMixY = 0xc2b2ae3d27d4eb4fULL;
+inline constexpr std::uint64_t kChirMixZ = 0xd6e8feb86659fd93ULL;
 inline constexpr std::uint64_t kChirMixT = 0x165667b19e3779f9ULL;
 inline constexpr std::uint64_t kChirFinal = 0xbf58476d1ce4e5b9ULL;
 }  // namespace detail
@@ -84,13 +84,6 @@ class GasModel {
     h ^= h >> 32;
     return static_cast<int>(h & 1);
   }
-
-  /// Chirality variants of 64 consecutive row sites packed into one
-  /// word: bit j == chirality(x0 + j, y, t). This is the word-parallel
-  /// form the bit-plane kernel selects collision variants with; a test
-  /// pins it lane-for-lane to the scalar form above.
-  static std::uint64_t chirality_mask64(std::int64_t x0, std::int64_t y,
-                                        std::int64_t t) noexcept;
 
   /// Particle count of a site state (excludes obstacle bit).
   int mass(Site s) const noexcept { return particle_count(s); }

@@ -23,11 +23,16 @@
 // wrapping), and every payload consumer — unpack(), operator==, the
 // site accessors — masks tails itself, so halo state is unobservable.
 //
-// Storage is 64-byte aligned and row strides are multiples of 8 words
-// with an 8-word leading guard block, so every row's payload word 0
-// sits on a cacheline boundary — the SIMD spans (plane_simd.hpp) use
-// unaligned loads either way, but aligned rows keep each 256/512-bit
-// access within one line.
+// Storage is 64-byte aligned. A row of at least kRowPad payload words
+// (width >= 449) has an 8-word leading guard block and a stride rounded
+// up to a multiple of 8 words, so its payload word 0 sits on a
+// cacheline boundary — the SIMD spans (plane_simd.hpp) use unaligned
+// loads either way, but aligned rows keep each 256/512-bit access
+// within one line. A narrower row is shorter than one AVX-512 block,
+// so alignment buys it little and padding would cost most of its
+// footprint: it is stored compactly at stride words + 2, one guard
+// word on each side, still distinct from its neighbors' guards (a
+// 64-wide row takes 3 words where the aligned stride would take 16).
 
 #pragma once
 
@@ -44,9 +49,17 @@ class PlaneLattice {
  public:
   static constexpr int kPlanes = kSiteBits;  // D = 8 bits/site
   static constexpr std::int64_t kWordBits = 64;
-  /// Guard words before each row's payload; also the stride quantum,
-  /// so payload word 0 of every row is 64-byte aligned.
+  /// Guard words before each wide row's payload; also the stride
+  /// quantum, so payload word 0 of every row of at least kRowPad words
+  /// is 64-byte aligned. Narrower rows are stored compactly.
   static constexpr std::int64_t kRowPad = 8;
+
+  /// Allocated words per row of a width-`width` lattice, guards
+  /// included: words + 2 for rows of fewer than kRowPad payload words,
+  /// otherwise kRowPad + the payload and its trailing guard rounded up
+  /// to kRowPad. The one definition of the plane row footprint (the
+  /// tile planner sizes its strips with it).
+  static std::int64_t row_stride_for(std::int64_t width) noexcept;
 
   PlaneLattice() = default;
   PlaneLattice(Extent extent, Boundary boundary);
@@ -57,8 +70,9 @@ class PlaneLattice {
   Boundary boundary() const noexcept { return boundary_; }
   /// Payload words per row: ceil(width / 64).
   std::int64_t words_per_row() const noexcept { return words_; }
-  /// Allocated words per row including guard/padding words (a multiple
-  /// of kRowPad).
+  /// Allocated words per row including guard/padding words:
+  /// row_stride_for(width). Only rows of at least kRowPad payload words
+  /// have a 64-byte-aligned payload; narrower rows are compact.
   std::int64_t row_stride() const noexcept { return stride_; }
   /// Mask of the valid bits of a row's last payload word.
   std::uint64_t tail_mask() const noexcept { return tail_mask_; }
@@ -81,7 +95,7 @@ class PlaneLattice {
   /// An all-zero row (payload and guards) — what an out-of-range row
   /// reads as under the Null boundary.
   const std::uint64_t* zero_row() const noexcept {
-    return zeros_.data() + kRowPad;
+    return zeros_.data() + lead_;
   }
 
   /// Fill the shift halo for this boundary mode: guard words, and (for
@@ -118,13 +132,15 @@ class PlaneLattice {
                 static_cast<std::size_t>(extent_.height) +
             static_cast<std::size_t>(y)) *
                static_cast<std::size_t>(stride_) +
-           static_cast<std::size_t>(kRowPad);
+           static_cast<std::size_t>(lead_);
   }
 
   Extent extent_{0, 0};
   Boundary boundary_ = Boundary::Null;
   std::int64_t words_ = 0;
   std::int64_t stride_ = 0;
+  /// Guard words before each row's payload: kRowPad, or 1 when compact.
+  std::int64_t lead_ = 0;
   std::uint64_t tail_mask_ = ~std::uint64_t{0};
   AlignedWords data_;
   AlignedWords zeros_;

@@ -82,28 +82,6 @@ GasModel::GasModel(GasKind kind)
   }
 }
 
-std::uint64_t GasModel::chirality_mask64(std::int64_t x0, std::int64_t y,
-                                         std::int64_t t) noexcept {
-  // Same hash as chirality(), restructured for 64 lanes: the (y, t)
-  // contribution is hoisted and the x multiply strength-reduced to a
-  // running addition, leaving one 64-bit multiply per lane. This loop
-  // is the cost floor of the bit-plane FHP update — everything else in
-  // that kernel is word-parallel (see docs/PERFORMANCE.md).
-  const std::uint64_t base = static_cast<std::uint64_t>(y) * detail::kChirMixY ^
-                             static_cast<std::uint64_t>(t) * detail::kChirMixT;
-  std::uint64_t xi = static_cast<std::uint64_t>(x0) * detail::kChirMixX;
-  std::uint64_t mask = 0;
-  for (int j = 0; j < 64; ++j) {
-    std::uint64_t h = xi ^ base;
-    h ^= h >> 29;
-    h *= detail::kChirFinal;
-    h ^= h >> 32;
-    mask |= (h & 1u) << j;
-    xi += detail::kChirMixX;
-  }
-  return mask;
-}
-
 Site GasModel::reflect(Site s) const noexcept {
   Site out = static_cast<Site>(s & ~moving_mask(topology_));
   for (int d = 0; d < channels(); ++d) {

@@ -86,15 +86,22 @@ void planes_to_sites(std::uint64_t (&w)[8]) noexcept {
 
 }  // namespace
 
+std::int64_t PlaneLattice::row_stride_for(std::int64_t width) noexcept {
+  const std::int64_t words = (width + kWordBits - 1) / kWordBits;
+  if (words < kRowPad) return words + 2;
+  // kRowPad leading guard words, then payload + at least one trailing
+  // guard, rounded up so the stride stays a multiple of kRowPad and
+  // every row's payload begins on a 64-byte boundary.
+  return kRowPad + (words + 1 + kRowPad - 1) / kRowPad * kRowPad;
+}
+
 PlaneLattice::PlaneLattice(Extent extent, Boundary boundary)
     : extent_(extent), boundary_(boundary) {
   LATTICE_REQUIRE(extent.width >= 0 && extent.height >= 0,
                   "PlaneLattice extent must be non-negative");
   words_ = (extent.width + kWordBits - 1) / kWordBits;
-  // kRowPad leading guard words, then payload + at least one trailing
-  // guard, rounded up so the stride stays a multiple of kRowPad and
-  // every row's payload begins on a 64-byte boundary.
-  stride_ = kRowPad + (words_ + 1 + kRowPad - 1) / kRowPad * kRowPad;
+  stride_ = row_stride_for(extent.width);
+  lead_ = words_ < kRowPad ? 1 : kRowPad;
   const int tail = static_cast<int>(extent.width % kWordBits);
   tail_mask_ = tail == 0 ? ~std::uint64_t{0}
                          : (std::uint64_t{1} << tail) - 1;

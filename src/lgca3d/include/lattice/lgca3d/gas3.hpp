@@ -19,6 +19,7 @@
 #include <cstdint>
 
 #include "lattice/common/error.hpp"
+#include "lattice/lgca/gas_model.hpp"
 
 namespace lattice::lgca3d {
 
@@ -73,9 +74,20 @@ class Gas3Model {
   Vec3 momentum(Site s) const noexcept;
   Site reflect(Site s) const noexcept;
 
-  /// Deterministic chirality for a site update.
+  /// Deterministic chirality for a site update: the 2-D gases' hash
+  /// (lgca::GasModel::chirality) with a z term, so the two agree at
+  /// z = 0.
   static int chirality(std::int64_t x, std::int64_t y, std::int64_t z,
-                       std::int64_t t) noexcept;
+                       std::int64_t t) noexcept {
+    std::uint64_t h = static_cast<std::uint64_t>(x) * lgca::detail::kChirMixX ^
+                      static_cast<std::uint64_t>(y) * lgca::detail::kChirMixY ^
+                      static_cast<std::uint64_t>(z) * lgca::detail::kChirMixZ ^
+                      static_cast<std::uint64_t>(t) * lgca::detail::kChirMixT;
+    h ^= h >> 29;
+    h *= lgca::detail::kChirFinal;
+    h ^= h >> 32;
+    return static_cast<int>(h & 1);
+  }
 
  private:
   Gas3Model();

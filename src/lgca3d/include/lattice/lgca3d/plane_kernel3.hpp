@@ -15,21 +15,26 @@
 //   axis-cycle classes — the zero-momentum states whose axes each
 //       carry a full pair or nothing: {x, y, z} pairs (mass 2) and
 //       {xy, xz, yz} double-pairs (mass 4) each form a 3-cycle whose
-//       direction is the chirality variant. Exact multi-pair
-//       configurations, hence rare at working densities — handled per
-//       *event* site through the Gas3Model table, exactly like the 2-D
-//       kernel's per-event chirality hash.
+//       direction is the chirality variant. Not rare: 7.7% of sites
+//       at a 0.3 fill, ≈ 4.9 per 64-site word. The two cycles are
+//       opposite rotations of the three pair masks, so a majority mask
+//       XORed with the chirality word picks each site's rotation and
+//       the new pair masks are AND-OR selects — word-parallel, with
+//       only the chirality hash evaluated per event bit, like the 2-D
+//       FHP span's head-on pairs.
 //   everything else — singleton classes: identity.
 //
 // Obstacle sites bounce (each channel takes its opposite's gathered
 // bit), and the obstacle plane itself is static — primed once per run.
-// The spans here are scalar64 only: the 3-D kernel is new enough that
-// the vector variants have not been ported, and because every fault
-// draw is keyed by global (x, y, z) through the flattened inner
+// The spans here are scalar64 only. A vector span along x would not
+// run at the shapes that matter: a 192-wide row is 3 payload words,
+// short of one 4-word AVX2 or 8-word AVX-512 block. Because every
+// fault draw is keyed by global (x, y, z) through the flattened inner
 // lattice, scalar-only execution is bit-identical on every host no
 // matter which SIMD level the 2-D kernels dispatch to. Bit-identical
-// to lgca3d::reference_step per site, by construction and by the
-// exhaustive parity matrix in tests/test_plane_lattice3.cpp.
+// to lgca3d::reference_step per site, by construction, by a step that
+// meets every (state, obstacle, chirality) and by the parity matrix in
+// tests/test_plane_lattice3.cpp.
 //
 // The runners below are instances of the one band/trapezoid scheduler
 // (lattice/lgca/scheduler.hpp) with the unit promoted from a row to a

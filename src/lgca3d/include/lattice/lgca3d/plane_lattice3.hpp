@@ -1,8 +1,9 @@
 // Bit-plane (multi-spin coded) representation of the 3-D lattice.
 //
 // The x axis keeps the exact word layout of the 2-D PlaneLattice (64
-// sites per uint64_t, guard-word halo on both row ends, padded aligned
-// strides), because the x-shift structure of propagation is identical
+// sites per uint64_t, guard-word halo on both row ends, the same row
+// strides — compact below 8 payload words, so a 192-wide row is 5
+// words), because the x-shift structure of propagation is identical
 // in every dimension. The y and z axes need no halo storage at all:
 // their taps are whole-row reads, resolved per row against the
 // boundary (zero row under Null, wrapped row under Periodic) exactly

@@ -32,18 +32,6 @@ Site Gas3Model::reflect(Site s) const noexcept {
   return out;
 }
 
-int Gas3Model::chirality(std::int64_t x, std::int64_t y, std::int64_t z,
-                         std::int64_t t) noexcept {
-  std::uint64_t h = static_cast<std::uint64_t>(x) * 0x9e3779b97f4a7c15ULL ^
-                    static_cast<std::uint64_t>(y) * 0xc2b2ae3d27d4eb4fULL ^
-                    static_cast<std::uint64_t>(z) * 0xd6e8feb86659fd93ULL ^
-                    static_cast<std::uint64_t>(t) * 0x165667b19e3779f9ULL;
-  h ^= h >> 29;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 32;
-  return static_cast<int>(h & 1);
-}
-
 Gas3Model::Gas3Model() {
   // Saturated class construction, as in FHP-III: cyclically permute
   // each (mass, momentum) equivalence class of the 2^6 moving states.

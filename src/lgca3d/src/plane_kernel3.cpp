@@ -12,10 +12,9 @@ namespace {
 constexpr int kObstaclePlane = 7;
 
 // One row of the cubic-gas update: gather (funnel shift on the ±x
-// planes, whole-row reads for everything else), word-parallel pair
-// swaps, per-event 3-cycle fixup, obstacle bounce. The collision
-// algebra follows the (mass, momentum) class structure of Gas3Model's
-// table:
+// planes, whole-row reads for everything else), then collision as
+// boolean algebra over the (mass, momentum) class structure of
+// Gas3Model's table, then obstacle bounce:
 //
 //   With the per-axis summaries  U2 = both channels,  Ur = exactly one,
 //   U0 = neither  (U in {X, Y, Z}), the six size-2 classes — a single
@@ -31,20 +30,27 @@ constexpr int kObstaclePlane = 7;
 //   {15, 51, 60} (two full pairs) — are exactly the non-empty,
 //   non-full states whose axes each carry a pair or nothing:
 //     ev = pure & ~none & ~full2,  pure = (X2|X0)&(Y2|Y0)&(Z2|Z0).
-//   Those cycle under chirality, so they go through the table per
-//   *event* bit (exact multi-pair configurations — rare at working
-//   densities), like the 2-D kernel's head-on pair hash.
+//   Variant 0 turns one pair x → y → z and two pairs xy → xz → yz.
+//   Read as pair masks those are opposite rotations: the new x pair
+//   comes from z in the first and from y in the second. So with m4 =
+//   majority(X2, Y2, Z2) marking the two-pair sites and C the
+//   chirality word, ub = ev & (C ^ m4) takes the "from y" rotation and
+//   ua = ev & ~ub the "from z" one:
+//     nx = ua&Z2 | ub&Y2,  ny = ua&X2 | ub&Z2,  nz = ua&Y2 | ub&X2,
+//   each written to both channels of its axis. C is hashed only at ev
+//   bits, as the 2-D FHP span hashes its head-on pairs: ev is 7.7% of
+//   sites at the 0.3 fill (≈ 4.9 per word), one hash each, against 64
+//   for a dense mask.
 //
 //   Every other moving state is a singleton class: identity. The two
 //   detectors are disjoint (ev needs every axis in {0, 2}; the swaps
-//   need one axis in state r), so the sparse fixup XORs into words the
-//   parallel part left untouched at those bits.
+//   need one axis in state r), so clearing the ev sites and OR-ing in
+//   the rotated pairs leaves the swaps untouched.
 void gas3_span(const std::uint64_t* const src[kChannels],
                const std::uint64_t* obst,
                std::uint64_t* const out[kChannels], std::int64_t words,
                std::uint64_t tail, std::int64_t y, std::int64_t sem_z,
                std::int64_t t) {
-  const Gas3Model& model = Gas3Model::get();
   const std::int64_t last = words - 1;
   for (std::int64_t k = 0; k < words; ++k) {
     const std::uint64_t m = k == last ? tail : ~std::uint64_t{0};
@@ -66,35 +72,30 @@ void gas3_span(const std::uint64_t* const src[kChannels],
     const std::uint64_t ey = yr & ((x2 & z0) | (x0 & z2));
     const std::uint64_t ez = zr & ((x2 & y0) | (x0 & y2));
 
-    std::uint64_t b0 = a0 ^ (ey | ez);
-    std::uint64_t b1 = a1 ^ (ey | ez);
-    std::uint64_t b2 = a2 ^ (ex | ez);
-    std::uint64_t b3 = a3 ^ (ex | ez);
-    std::uint64_t b4 = a4 ^ (ex | ey);
-    std::uint64_t b5 = a5 ^ (ex | ey);
-
     const std::uint64_t none = x0 & y0 & z0;
     const std::uint64_t full2 = x2 & y2 & z2;
     const std::uint64_t pure = (x2 | x0) & (y2 | y0) & (z2 | z0);
-    std::uint64_t ev = pure & ~none & ~full2 & ~o & m;
-    while (ev != 0) {
-      const int j = std::countr_zero(ev);
-      ev &= ev - 1;
-      const std::uint64_t bit = std::uint64_t{1} << j;
-      const Site in = static_cast<Site>(
-          ((a0 >> j) & 1) | (((a1 >> j) & 1) << 1) | (((a2 >> j) & 1) << 2) |
-          (((a3 >> j) & 1) << 3) | (((a4 >> j) & 1) << 4) |
-          (((a5 >> j) & 1) << 5));
-      const int v = Gas3Model::chirality(k * 64 + j, y, sem_z, t);
-      const Site d = static_cast<Site>(in ^ (model.collide(in, v) &
-                                             kMovingMask));
-      if ((d & channel_bit(0)) != 0) b0 ^= bit;
-      if ((d & channel_bit(1)) != 0) b1 ^= bit;
-      if ((d & channel_bit(2)) != 0) b2 ^= bit;
-      if ((d & channel_bit(3)) != 0) b3 ^= bit;
-      if ((d & channel_bit(4)) != 0) b4 ^= bit;
-      if ((d & channel_bit(5)) != 0) b5 ^= bit;
+    const std::uint64_t ev = pure & ~none & ~full2 & ~o & m;
+    std::uint64_t C = 0;
+    for (std::uint64_t bits = ev; bits != 0; bits &= bits - 1) {
+      const int j = std::countr_zero(bits);
+      C |= static_cast<std::uint64_t>(Gas3Model::chirality(
+               k * 64 + j, y, sem_z, t))
+           << j;
     }
+    const std::uint64_t m4 = (x2 & y2) | (z2 & (x2 | y2));
+    const std::uint64_t ub = ev & (C ^ m4);
+    const std::uint64_t ua = ev & ~ub;
+    const std::uint64_t nx = (ua & z2) | (ub & y2);
+    const std::uint64_t ny = (ua & x2) | (ub & z2);
+    const std::uint64_t nz = (ua & y2) | (ub & x2);
+
+    const std::uint64_t b0 = ((a0 ^ (ey | ez)) & ~ev) | nx;
+    const std::uint64_t b1 = ((a1 ^ (ey | ez)) & ~ev) | nx;
+    const std::uint64_t b2 = ((a2 ^ (ex | ez)) & ~ev) | ny;
+    const std::uint64_t b3 = ((a3 ^ (ex | ez)) & ~ev) | ny;
+    const std::uint64_t b4 = ((a4 ^ (ex | ey)) & ~ev) | nz;
+    const std::uint64_t b5 = ((a5 ^ (ex | ey)) & ~ev) | nz;
 
     // Obstacle bounce-back: each channel takes its opposite's gathered
     // bit (the table's reflect), overriding any collision algebra.

@@ -131,7 +131,7 @@ TEST(Exec3Tiling, ExplicitPlanEngagesAndStaysExact) {
   // nz far beyond the slab budget so an explicit k = 2 plan is
   // feasible; chunk_quantum() == 2 proves the plan engaged (it is the
   // executor's scheduling contract, not a private detail).
-  const lgca3d::Extent3 ext{64, 16, 96};
+  const lgca3d::Extent3 ext{64, 16, 384};
   LatticeEngine tiled(cfg3(Backend::BitPlane3, ext, lgca::Boundary::Null,
                            2, 2));
   EXPECT_EQ(tiled.chunk_quantum(), 2) << "the k = 2 z-slab plan must hold";

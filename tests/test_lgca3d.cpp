@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "lattice/common/rng.hpp"
+#include "lattice/lgca/gas_model.hpp"
 #include "lattice/lgca3d/pipeline3.hpp"
 
 namespace lattice::lgca3d {
@@ -79,6 +80,19 @@ TEST(Gas3Model, SingleParticlesPassThrough) {
   const Gas3Model& m = Gas3Model::get();
   for (int d = 0; d < kChannels; ++d) {
     EXPECT_EQ(m.collide(channel_bit(d), 0), channel_bit(d));
+  }
+}
+
+TEST(Gas3Model, ChiralityAtZZeroIsThe2dHash) {
+  // The cubic hash only adds a z term to the 2-D gases' hash.
+  for (std::int64_t x = -5; x < 300; x += 7) {
+    for (std::int64_t y = -3; y < 140; y += 11) {
+      for (const std::int64_t t : {0, 1, 2, 17, 12345}) {
+        ASSERT_EQ(Gas3Model::chirality(x, y, 0, t),
+                  lgca::GasModel::chirality(x, y, t))
+            << "x " << x << " y " << y << " t " << t;
+      }
+    }
   }
 }
 

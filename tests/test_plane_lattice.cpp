@@ -2,13 +2,13 @@
 // property tests over awkward widths (word-aligned, one-under/over,
 // sub-word, single-column), the word-parallel transpose against a
 // per-bit oracle, word for word at every width 1–130, the tail-bit and
-// guard-word invariants of the shift halo, and the packed chirality
-// hash against its scalar original, lane for lane.
+// guard-word invariants of the shift halo, the row layout (aligned
+// wide rows, compact narrow rows whose halo fills stay in their row),
+// and the balance of the chirality hash.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <bitset>
 #include <cstdint>
 #include <random>
@@ -170,8 +170,10 @@ TEST(PlaneLattice, PayloadRowsAreCachelineAligned) {
   // The SIMD spans use unaligned loads, so this is a layout guarantee
   // rather than a correctness requirement — but the documented cost
   // model assumes every 512-bit access stays inside one cacheline.
-  for (const std::int64_t width : {1, 63, 64, 65, 130, 511, 640}) {
+  // Rows of at least kRowPad words are the ones a vector span runs on.
+  for (const std::int64_t width : {449, 511, 512, 513, 640, 2048}) {
     PlaneLattice planes({width, 3}, Boundary::Null);
+    ASSERT_GE(planes.words_per_row(), PlaneLattice::kRowPad) << width;
     EXPECT_EQ(planes.row_stride() % PlaneLattice::kRowPad, 0) << width;
     EXPECT_GE(planes.row_stride(),
               planes.words_per_row() + PlaneLattice::kRowPad + 1)
@@ -182,6 +184,39 @@ TEST(PlaneLattice, PayloadRowsAreCachelineAligned) {
             << "width " << width << " plane " << p << " row " << y;
       }
     }
+  }
+}
+
+TEST(PlaneLattice, NarrowRowsAreCompactAndHaloFillsStayInTheirRow) {
+  // A row narrower than kRowPad words has one guard word on each side
+  // and nothing else. A periodic halo fill writes both guards of its
+  // own row, so it must leave every neighboring word alone: at stride
+  // words + 1 adjacent rows would share a guard and this would fail.
+  std::mt19937_64 rng(17);
+  for (std::int64_t width = 1; width <= 511; ++width) {
+    PlaneLattice planes({width, 3}, Boundary::Periodic);
+    const std::int64_t words = planes.words_per_row();
+    if (words < PlaneLattice::kRowPad) {
+      ASSERT_EQ(planes.row_stride(), words + 2) << width;
+    }
+    // Random payload and guards on every row, then a fill of row 1.
+    for (int p = 0; p < PlaneLattice::kPlanes; ++p) {
+      for (std::int64_t y = 0; y < 3; ++y) {
+        for (std::int64_t k = -1; k <= words; ++k) planes.row(p, y)[k] = rng();
+      }
+    }
+    const auto snapshot = [&](std::int64_t y) {
+      std::vector<std::uint64_t> v;
+      for (int p = 0; p < PlaneLattice::kPlanes; ++p) {
+        v.insert(v.end(), planes.row(p, y) - 1, planes.row(p, y) + words + 1);
+      }
+      return v;
+    };
+    const std::vector<std::uint64_t> above = snapshot(0);
+    const std::vector<std::uint64_t> below = snapshot(2);
+    planes.prepare_shift_halo((1u << PlaneLattice::kPlanes) - 1u, 1, 2);
+    ASSERT_EQ(snapshot(0), above) << "width " << width;
+    ASSERT_EQ(snapshot(2), below) << "width " << width;
   }
 }
 
@@ -329,31 +364,14 @@ TEST(TransposeOracle, UnpackMatchesPerBitLoop) {
   });
 }
 
-TEST(ChiralityMask, MatchesScalarHashLaneForLane) {
-  for (const std::int64_t x0 : {std::int64_t{0}, std::int64_t{64},
-                                std::int64_t{1 << 20}}) {
-    for (const std::int64_t y : {std::int64_t{0}, std::int64_t{7},
-                                 std::int64_t{511}}) {
-      for (const std::int64_t t : {std::int64_t{0}, std::int64_t{1},
-                                   std::int64_t{12345}}) {
-        const std::uint64_t mask = GasModel::chirality_mask64(x0, y, t);
-        for (int j = 0; j < 64; ++j) {
-          ASSERT_EQ((mask >> j) & 1,
-                    static_cast<std::uint64_t>(
-                        GasModel::chirality(x0 + j, y, t)))
-              << "x0 " << x0 << " y " << y << " t " << t << " lane " << j;
-        }
-      }
-    }
-  }
-}
-
 TEST(ChiralityMask, VariantsAreBalanced) {
-  // Sanity on the hash: roughly half the lanes pick each variant.
+  // Sanity on the hash: roughly half the sites pick each variant.
   std::int64_t ones = 0;
   const std::int64_t words = 4096;
-  for (std::int64_t i = 0; i < words; ++i)
-    ones += std::popcount(GasModel::chirality_mask64(i * 64, i % 97, i % 13));
+  for (std::int64_t i = 0; i < words; ++i) {
+    for (std::int64_t j = 0; j < 64; ++j)
+      ones += GasModel::chirality(i * 64 + j, i % 97, i % 13);
+  }
   const double frac =
       static_cast<double>(ones) / static_cast<double>(words * 64);
   EXPECT_GT(frac, 0.45);

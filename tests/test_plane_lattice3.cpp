@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "lattice/lgca3d/pipeline3.hpp"
@@ -92,6 +93,55 @@ TEST(PlaneKernel3, SingleStepMatchesReferenceEverywhere) {
       EXPECT_EQ(bp, ref) << "extent {" << e.nx << "," << e.ny << "," << e.nz
                          << "} boundary " << static_cast<int>(b);
     }
+  }
+}
+
+TEST(PlaneKernel3, EveryStateMatchesTheTableUnderBothChiralities) {
+  // A periodic volume whose gathered input at (x, y, z) is state x:
+  // channel d reaches r from r - e_d, so it is set there. Obstacles on
+  // odd z give every moving state both obstacle values, and each of
+  // the 128 (state, obstacle) cells spans 16 × 8 sites, enough for the
+  // chirality hash to draw both variants in every cell.
+  const Extent3 e{64, 16, 16};
+  const auto wrap = [](std::int64_t v, std::int64_t n) {
+    return ((v % n) + n) % n;
+  };
+  Lattice3 start(e, Boundary3::Periodic);
+  for (std::int64_t z = 0; z < e.nz; ++z) {
+    for (std::int64_t y = 0; y < e.ny; ++y) {
+      for (std::int64_t x = 0; x < e.nx; ++x) {
+        if (z % 2 != 0) start.at({x, y, z}) |= kObstacleBit;
+        for (int d = 0; d < kChannels; ++d) {
+          if (((x >> d) & 1) == 0) continue;
+          const Vec3 v = velocity_of(d);
+          start.at({wrap(x - v.x, e.nx), wrap(y - v.y, e.ny),
+                    wrap(z - v.z, e.nz)}) |= channel_bit(d);
+        }
+      }
+    }
+  }
+  PlaneLattice3 planes(start);
+  const std::int64_t t = 5;
+  plane_gas_run3(planes, 1, t);
+  const Lattice3 got = planes.to_sites3();
+
+  const Gas3Model& model = Gas3Model::get();
+  std::array<std::array<bool, 2>, 128> seen{};
+  for (std::int64_t z = 0; z < e.nz; ++z) {
+    for (std::int64_t y = 0; y < e.ny; ++y) {
+      for (std::int64_t x = 0; x < e.nx; ++x) {
+        const Site in = static_cast<Site>(x | (z % 2 != 0 ? kObstacleBit : 0));
+        const int v = Gas3Model::chirality(x, y, z, t);
+        ASSERT_EQ(got.at({x, y, z}), model.collide(in, v))
+            << "state " << x << " at (" << x << "," << y << "," << z << ")";
+        const auto cell = static_cast<std::size_t>(x + 64 * (z % 2));
+        seen[cell][static_cast<std::size_t>(v)] = true;
+      }
+    }
+  }
+  for (std::size_t cell = 0; cell < seen.size(); ++cell) {
+    EXPECT_TRUE(seen[cell][0] && seen[cell][1])
+        << "state " << cell % 64 << " obstacle " << cell / 64;
   }
 }
 

@@ -17,6 +17,7 @@
 #include "lattice/core/tile_plan.hpp"
 #include "lattice/lgca/gas_rule.hpp"
 #include "lattice/lgca/init.hpp"
+#include "lattice/lgca/plane_lattice.hpp"
 #include "lattice/lgca/plane_simd.hpp"
 #include "lattice/lgca/reference.hpp"
 #include "lattice/lgca/temporal_tile.hpp"
@@ -189,8 +190,22 @@ TEST(TilePlan, AutoModeBlocksOnlyWhenTheSweepIsNotCacheResident) {
             1);
 }
 
+TEST(TilePlan, RowFootprintIsThePlaneLatticeLayout) {
+  // The planner's row and slab bytes are the bytes a PlaneLattice
+  // really allocates per row, compact narrow rows included.
+  for (std::int64_t width = 1; width <= 640; ++width) {
+    const std::int64_t height = 3;
+    const PlaneLattice planes({width, height}, Boundary::Null);
+    const std::int64_t stride = planes.row(0, 1) - planes.row(0, 0);
+    ASSERT_EQ(planes.row(1, 0) - planes.row(0, 0), height * stride) << width;
+    const std::int64_t bytes = PlaneLattice::kPlanes * stride * 8;
+    ASSERT_EQ(core::plane_row_bytes({width, height}), bytes) << width;
+    ASSERT_EQ(core::plane_slab_bytes({width, 5, 2}), 5 * bytes) << width;
+  }
+}
+
 TEST(TilePlan, ExplicitDepthIsHonoredOrDroppedToPlain) {
-  const Extent e{96, 1200};
+  const Extent e{96, 4800};
   const std::int64_t row = core::plane_row_bytes(e);
   const core::TilePlan plan =
       core::plan_temporal_tiles(e, Boundary::Periodic, row, 3);
@@ -210,7 +225,7 @@ TEST(TemporalTileEngine, BitPlaneTiledRunVerifiesAgainstReference) {
   // 0 exercises auto mode end-to-end as well.
   for (const int k : {0, 3}) {
     core::LatticeEngine::Config cfg;
-    cfg.extent = {96, 1200};
+    cfg.extent = {96, 4800};
     cfg.gas = GasKind::FHP_II;
     cfg.boundary = Boundary::Periodic;
     cfg.backend = core::Backend::BitPlane;
@@ -252,7 +267,7 @@ TEST(TemporalTileEngine, GuardedCheckpointsQuantizeToTileBlocks) {
   plan.stuck_planes.push_back(
       {1, 10, ~std::uint64_t{0}, ~std::uint64_t{0}});
   core::LatticeEngine::Config cfg;
-  cfg.extent = {96, 1200};
+  cfg.extent = {96, 4800};
   cfg.gas = GasKind::FHP_II;
   cfg.boundary = Boundary::Periodic;
   cfg.backend = core::Backend::BitPlane;
