@@ -1,7 +1,8 @@
 // BackendExec — the polymorphic executor layer behind LatticeEngine.
 //
 // One executor per Backend value, created by make_backend_exec() and
-// owned by the engine. Everything backend-specific lives here: kernel
+// owned by the engine; a constructed executor is ready to run its
+// first pass. Everything backend-specific lives here: kernel
 // detection (CollisionLut / PlaneKernel), slice-width defaulting,
 // boundary requirements, the per-pass obs histogram, fault-injector
 // wiring, persistent pipeline/machine state, and the report fields
@@ -9,8 +10,8 @@
 // engine itself never branches on the backend.
 //
 // Adding a backend is one new translation unit (docs/ARCHITECTURE.md):
-// subclass BackendExec, implement prepare()/run_pass(), and add a case
-// to the factory in backend_exec.cpp.
+// subclass BackendExec, implement run_pass(), and add a case to the
+// factory in backend_exec.cpp.
 
 #pragma once
 
@@ -43,11 +44,6 @@ class BackendExec {
   virtual ~BackendExec();
   BackendExec(const BackendExec&) = delete;
   BackendExec& operator=(const BackendExec&) = delete;
-
-  /// One-time setup against the engine's initial state: validate the
-  /// boundary mode, build the persistent pipeline/machine. Called by
-  /// the engine exactly once, before the first run_pass().
-  virtual void prepare(const lgca::SiteLattice& state) = 0;
 
   /// Advance `state` in place by `chunk` generations, the first of
   /// which is `generation`. Counters accumulate into stats().

@@ -243,8 +243,8 @@ class LatticeEngine {
   std::int64_t chunk_quantum() const noexcept;
 
   /// Resume from a snapshot taken on a compatibly-configured engine
-  /// (same extent and boundary). verify_against_reference() stays
-  /// meaningful only for checkpoints from this engine's own history.
+  /// (same extent, boundary and depth); throws lattice::Error if the
+  /// snapshot does not fit.
   void restore(const EngineCheckpoint& ckpt);
 
   /// Injector counters so far (all zero when no fault plan is armed).
@@ -271,9 +271,13 @@ class LatticeEngine {
   /// was built with -DLATTICE_OBS=OFF. See docs/OBSERVABILITY.md.
   MetricsReport snapshot() const;
 
-  /// Re-run the whole history on the golden reference and compare —
-  /// the end-to-end correctness check for pipelined backends.
-  bool verify_against_reference() const;
+  /// Replay the golden reference from `from` (a checkpoint() the
+  /// caller took before advancing, on this engine or a compatible one)
+  /// up to generation(), and compare with state() — the end-to-end
+  /// correctness check for every backend. Throws lattice::Error if
+  /// `from` does not fit the engine (see restore()) or lies after
+  /// generation(). The engine keeps no history of its own.
+  bool verify_against_reference(const EngineCheckpoint& from) const;
 
  private:
   void run_pass(std::int64_t chunk);
@@ -282,10 +286,8 @@ class LatticeEngine {
   Config config_;
   std::unique_ptr<lgca::GasRule> owned_rule_;
   const lgca::Rule* rule_;
-  lgca::SiteLattice initial_;
   lgca::SiteLattice state_;
   std::int64_t generation_ = 0;
-  bool initial_captured_ = false;
   double wall_seconds_ = 0;
 
   // recovery machinery; null/zero when the fault plan is unarmed.

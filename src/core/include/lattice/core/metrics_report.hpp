@@ -30,7 +30,7 @@ struct MetricsReport {
   /// Wall-clock seconds accumulated across every advance() call.
   double wall_seconds = 0;
   /// Non-overlapping top-level stages (the engine's pass histogram,
-  /// engine.pass.<backend>_ns, and engine.capture/checkpoint/restore).
+  /// engine.pass.<backend>_ns, and engine.checkpoint/restore).
   /// Their seconds sum to within a few percent of wall_seconds; the
   /// gap is loop glue.
   std::vector<MetricsPhase> phases;

@@ -35,11 +35,18 @@ bool BackendExec::supports_fault_plan(
   return !plan.armed();
 }
 
+Extent detail::pipelined_extent(const LatticeEngine::Config& config) {
+  LATTICE_REQUIRE(config.boundary == lgca::Boundary::Null,
+                  "pipelined backends require null boundaries");
+  return config.extent;
+}
+
 std::unique_ptr<BackendExec> make_backend_exec(LatticeEngine::Config& config,
                                                const lgca::Rule& rule,
                                                fault::FaultInjector* injector) {
   switch (config.backend) {
     case Backend::Reference:
+    case Backend::Reference3:
       return detail::make_reference_exec(config, rule, injector);
     case Backend::BitPlane:
     case Backend::BitPlane3:
@@ -50,8 +57,6 @@ std::unique_ptr<BackendExec> make_backend_exec(LatticeEngine::Config& config,
       return detail::make_spa_exec(config, rule, injector);
     case Backend::WsaE:
       return detail::make_wsa_e_exec(config, rule, injector);
-    case Backend::Reference3:
-      return detail::make_reference3_exec(config, rule, injector);
   }
   LATTICE_REQUIRE(false, "unknown backend");
   return nullptr;

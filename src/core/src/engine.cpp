@@ -8,7 +8,6 @@
 #include "lattice/core/backend_exec.hpp"
 #include "lattice/core/metrics_report.hpp"
 #include "lattice/lgca/gas_rule.hpp"
-#include "lattice/lgca/reference.hpp"
 #include "lattice/obs/metrics.hpp"
 #include "lattice/obs/trace.hpp"
 #include "lattice/pebble/bounds.hpp"
@@ -48,7 +47,6 @@ struct EngineObs {
       obs::counter_id("engine.interval_shrinks");
   obs::MetricsRegistry::Id oracle_passes =
       obs::counter_id("engine.oracle_passes");
-  obs::MetricsRegistry::Id capture_ns = obs::histogram_id("engine.capture_ns");
   obs::MetricsRegistry::Id checkpoint_ns =
       obs::histogram_id("engine.checkpoint_ns");
   obs::MetricsRegistry::Id restore_ns = obs::histogram_id("engine.restore_ns");
@@ -57,6 +55,21 @@ struct EngineObs {
     return ids;
   }
 };
+
+// The fit restore() and verify_against_reference() both demand of a
+// snapshot: the engine's extent, boundary and depth (the same flat
+// byte count can factor into different volumes), and a real generation.
+void require_fits(const EngineCheckpoint& ckpt, const lgca::SiteLattice& state,
+                  std::int64_t depth) {
+  LATTICE_REQUIRE(ckpt.state.extent() == state.extent(),
+                  "checkpoint extent does not match the engine");
+  LATTICE_REQUIRE(ckpt.state.boundary() == state.boundary(),
+                  "checkpoint boundary mode does not match the engine");
+  LATTICE_REQUIRE(ckpt.depth == depth,
+                  "checkpoint depth does not match the engine: the same "
+                  "flat byte count can factor into different volumes");
+  LATTICE_REQUIRE(ckpt.generation >= 0, "checkpoint generation must be >= 0");
+}
 
 }  // namespace
 
@@ -79,7 +92,6 @@ std::int64_t pick_spa_slice_width(const arch::Technology& tech,
 
 LatticeEngine::LatticeEngine(Config config)
     : config_(config),
-      initial_(engine_state_extent(config), config.boundary),
       state_(engine_state_extent(config), config.boundary) {
   LATTICE_REQUIRE(config_.pipeline_depth >= 1, "pipeline depth must be >= 1");
   if (config_.custom_rule != nullptr) {
@@ -121,7 +133,6 @@ LatticeEngine::LatticeEngine(Config config)
         (config_.checkpoint_interval + quantum - 1) / quantum * quantum;
     interval_ = config_.checkpoint_interval;
   }
-  exec_->prepare(state_);
 }
 
 LatticeEngine::~LatticeEngine() = default;
@@ -145,11 +156,6 @@ void LatticeEngine::advance(std::int64_t generations) {
   const obs::TraceSpan span("engine.advance");
   const std::int64_t updates_before = exec_->stats().site_updates;
   const auto start = std::chrono::steady_clock::now();
-  if (!initial_captured_) {
-    const obs::ScopedTimer timer(EngineObs::get().capture_ns);
-    initial_ = state_;
-    initial_captured_ = true;
-  }
   if (injector_ != nullptr) {
     advance_guarded(generations);
   } else {
@@ -263,13 +269,7 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
       if (exec_->try_degrade()) continue;
       if (config_.oracle_fallback) {
         const obs::TraceSpan oracle_span("engine.oracle");
-        if (backend_is_3d(config_.backend)) {
-          detail::reference_run3(state_, detail::extent3_of(config_),
-                                 lgca3d::to_boundary3(config_.boundary),
-                                 chunk, generation_);
-        } else {
-          lgca::reference_run(state_, *rule_, chunk, generation_);
-        }
+        detail::golden_run(state_, config_, *rule_, chunk, generation_);
         generation_ += chunk;
         ++oracle_passes_;
         obs::count(EngineObs::get().oracle_passes, 1);
@@ -291,14 +291,7 @@ std::int64_t LatticeEngine::chunk_quantum() const noexcept {
 }
 
 void LatticeEngine::restore(const EngineCheckpoint& ckpt) {
-  LATTICE_REQUIRE(ckpt.state.extent() == state_.extent(),
-                  "checkpoint extent does not match the engine");
-  LATTICE_REQUIRE(ckpt.state.boundary() == state_.boundary(),
-                  "checkpoint boundary mode does not match the engine");
-  LATTICE_REQUIRE(ckpt.depth == config_.depth,
-                  "checkpoint depth does not match the engine: the same "
-                  "flat byte count can factor into different volumes");
-  LATTICE_REQUIRE(ckpt.generation >= 0, "checkpoint generation must be >= 0");
+  require_fits(ckpt, state_, config_.depth);
   const obs::ScopedTimer timer(EngineObs::get().restore_ns);
   state_ = ckpt.state;
   generation_ = ckpt.generation;
@@ -368,16 +361,14 @@ MetricsReport LatticeEngine::snapshot() const {
   return build_metrics_report(wall_seconds_, exec_->pass_phase());
 }
 
-bool LatticeEngine::verify_against_reference() const {
-  if (!initial_captured_) return true;
-  lgca::SiteLattice replay = initial_;
-  if (backend_is_3d(config_.backend)) {
-    detail::reference_run3(replay, detail::extent3_of(config_),
-                           lgca3d::to_boundary3(config_.boundary),
-                           generation_, 0);
-  } else {
-    lgca::reference_run(replay, *rule_, generation_, 0);
-  }
+bool LatticeEngine::verify_against_reference(
+    const EngineCheckpoint& from) const {
+  require_fits(from, state_, config_.depth);
+  LATTICE_REQUIRE(from.generation <= generation_,
+                  "checkpoint lies after the engine's generation");
+  lgca::SiteLattice replay = from.state;
+  detail::golden_run(replay, config_, *rule_, generation_ - from.generation,
+                     from.generation);
   return replay == state_;
 }
 

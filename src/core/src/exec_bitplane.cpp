@@ -65,8 +65,6 @@ class BitPlaneExec final : public BackendExec {
     }
   }
 
-  void prepare(const lgca::SiteLattice& state) override { (void)state; }
-
   std::int64_t max_chunk(std::int64_t remaining) const noexcept override {
     return remaining;
   }

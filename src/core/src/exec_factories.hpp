@@ -1,6 +1,7 @@
 // Private per-backend executor factories, one per translation unit
-// (exec_*.cpp). Only backend_exec.cpp's make_backend_exec() calls
-// these; the classes themselves stay file-local to their TU.
+// (exec_*.cpp), plus the boundary check the pipelined executors share.
+// Only backend_exec.cpp's make_backend_exec() calls the factories; the
+// classes themselves stay file-local to their TU.
 
 #pragma once
 
@@ -10,9 +11,15 @@
 
 namespace lattice::core::detail {
 
+/// Reference and Reference3: one executor, keyed on the backend.
 std::unique_ptr<BackendExec> make_reference_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
+
+/// The WSA, WSA-E and SPA datapaths stream rows through line buffers
+/// with no wrap-around path: checks the null boundary they require and
+/// returns the extent their pipeline or machine is built over.
+Extent pipelined_extent(const LatticeEngine::Config& config);
 
 /// BitPlane and BitPlane3: one executor, keyed on the backend.
 std::unique_ptr<BackendExec> make_bitplane_exec(
@@ -29,10 +36,6 @@ std::unique_ptr<BackendExec> make_spa_exec(LatticeEngine::Config& config,
                                            fault::FaultInjector* injector);
 
 std::unique_ptr<BackendExec> make_wsa_e_exec(
-    const LatticeEngine::Config& config, const lgca::Rule& rule,
-    fault::FaultInjector* injector);
-
-std::unique_ptr<BackendExec> make_reference3_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
 

@@ -1,7 +1,12 @@
-// ReferenceExec — the golden double-buffered updater behind the
-// executor interface. Kernel selection happens once at construction:
-// gas rules get the fused CollisionLut sweep, anything else the
-// generic virtual-dispatch path; threads > 1 bands the rows either way.
+// ReferenceExec — the golden updaters behind the executor interface,
+// 2-D and 3-D. Kernel selection happens once at construction: 2-D gas
+// rules get the fused CollisionLut sweep, anything else the generic
+// virtual-dispatch path, banded by rows when threads > 1. Reference3
+// is the same executor over the engine's flat {nx, ny·nz} view of a
+// volume: it always runs the gather-and-collide updater through
+// golden_run, deliberately unclever, because it is the oracle the
+// BitPlane3 backend is measured against. The executor takes its name,
+// and so its pass histogram, from the backend.
 
 #include <optional>
 
@@ -10,6 +15,7 @@
 #include "lattice/fault/memory_guard.hpp"
 #include "lattice/lgca/collision_lut.hpp"
 #include "lattice/lgca/reference.hpp"
+#include "volume3.hpp"
 
 namespace lattice::core::detail {
 
@@ -19,10 +25,17 @@ class ReferenceExec final : public BackendExec {
  public:
   ReferenceExec(const LatticeEngine::Config& config, const lgca::Rule& rule,
                 fault::FaultInjector* injector)
-      : BackendExec("reference", config.pipeline_depth),
-        rule_(&rule),
-        threads_(config.threads) {
-    if (config.fast_kernel) lut_ = lgca::CollisionLut::try_get(rule);
+      : BackendExec(backend_is_3d(config.backend) ? "reference3" : "reference",
+                    config.pipeline_depth),
+        config_(config),
+        rule_(&rule) {
+    // A volume's rule is the 2-D GasRule the engine builds from
+    // config.gas, so a LUT would load for it; only golden_run knows to
+    // run it as the cubic gas. The LUT sweep and the row bands are 2-D.
+    if (!backend_is_3d(config.backend)) {
+      if (config.fast_kernel) lut_ = lgca::CollisionLut::try_get(rule);
+      threads_ = config.threads;
+    }
     if (injector != nullptr) guard_.emplace(*injector);
     // Temporal blocking applies to the fused byte-LUT sweep only: the
     // generic virtual-dispatch path has no windowed row update, and
@@ -35,14 +48,14 @@ class ReferenceExec final : public BackendExec {
     }
   }
 
-  void prepare(const lgca::SiteLattice& state) override { (void)state; }
-
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
     if (guard_) {
       // Guarded: one generation at a time, so each fault lands (and is
       // audited) in the same generation that would read it on the
-      // bit-plane backend — the two fault runs stay like-for-like.
+      // bit-plane backend — the two fault runs stay like-for-like. On
+      // a volume the site guard keys its draws by global flat row
+      // z·ny + y, the same coordinates the 3-D plane guard uses.
       guard_->run_begin(state);
       for (std::int64_t g = 0; g < chunk; ++g) {
         guard_->inject_and_audit(state, generation + g);
@@ -85,15 +98,16 @@ class ReferenceExec final : public BackendExec {
     } else if (threads_ > 1) {
       lgca::reference_run_parallel(state, *rule_, chunk, threads_, generation);
     } else {
-      lgca::reference_run(state, *rule_, chunk, generation);
+      golden_run(state, config_, *rule_, chunk, generation);
     }
   }
 
   fault::FaultInjector* injector() { return guard_->injector(); }
 
+  LatticeEngine::Config config_;  // copied: the engine may be moved
   const lgca::Rule* rule_;
   const lgca::CollisionLut* lut_ = nullptr;
-  unsigned threads_;
+  unsigned threads_ = 1;
   TilePlan plan_;
   std::optional<fault::SiteMemoryGuard> guard_;
 };
@@ -103,6 +117,10 @@ class ReferenceExec final : public BackendExec {
 std::unique_ptr<BackendExec> make_reference_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector) {
+  LATTICE_REQUIRE(
+      !backend_is_3d(config.backend) || config.custom_rule == nullptr,
+      "the 3-D backends run the cubic gas only; custom rules have no "
+      "3-D form");
   return std::make_unique<ReferenceExec>(config, rule, injector);
 }
 

@@ -3,13 +3,11 @@
 // lattice divisor to the §6.2 optimum) into the engine's config before
 // construction, so everything downstream sees the resolved value.
 //
-// The machine is built once in prepare() and persists across passes
+// The machine is built with the executor and persists across passes
 // (stage grid or wavefront ladder, depending on strategy); ragged tail
 // chunks use a throwaway shallower machine. try_degrade() is the stuck
 // chip remap: the injector pulls failed (depth, slice) lanes out of
 // the datapath and surviving pipelines absorb their columns.
-
-#include <optional>
 
 #include "exec_factories.hpp"
 #include "lattice/arch/spa.hpp"
@@ -26,22 +24,17 @@ class SpaExec final : public BackendExec {
       : BackendExec("spa", config.pipeline_depth),
         cfg_(config),
         rule_(&rule),
-        injector_(injector) {}
-
-  void prepare(const lgca::SiteLattice& state) override {
-    LATTICE_REQUIRE(state.boundary() == lgca::Boundary::Null,
-                    "pipelined backends require null boundaries");
-    spa_.emplace(state.extent(), *rule_, cfg_.spa_slice_width,
-                 cfg_.pipeline_depth, /*t0=*/0, cfg_.threads,
-                 cfg_.fast_kernel, injector_);
-  }
+        injector_(injector),
+        spa_(pipelined_extent(config), rule, config.spa_slice_width,
+             config.pipeline_depth, /*t0=*/0, config.threads,
+             config.fast_kernel, injector) {}
 
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
     if (chunk == depth_) {
-      spa_->set_t0(generation);
-      state = spa_->run(state);
-      const arch::SpaStats& s = spa_->stats();
+      spa_.set_t0(generation);
+      state = spa_.run(state);
+      const arch::SpaStats& s = spa_.stats();
       stats_.ticks += s.ticks - prev_.ticks;
       stats_.site_updates += s.site_updates - prev_.site_updates;
       stats_.buffer_sites = s.buffer_sites;
@@ -81,7 +74,7 @@ class SpaExec final : public BackendExec {
   LatticeEngine::Config cfg_;  // copied: the engine may be moved
   const lgca::Rule* rule_;
   fault::FaultInjector* injector_;
-  std::optional<arch::SpaMachine> spa_;
+  arch::SpaMachine spa_;
   arch::SpaStats prev_;  // spa_'s counters at the last harvest
 };
 

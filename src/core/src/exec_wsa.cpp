@@ -1,12 +1,10 @@
 // WsaExec — the wide-serial pipeline behind the executor interface.
 //
-// The stage chain is built once in prepare() and persists across
+// The stage chain is built with the executor and persists across
 // passes: a full-depth pass retargets it with set_t0() and rearms in
 // place, so the steady-state advance loop allocates nothing. Only a
 // ragged tail chunk (chunk < pipeline depth, at most once per
 // advance() call) pays for a throwaway shorter chain.
-
-#include <optional>
 
 #include "exec_factories.hpp"
 #include "lattice/arch/wsa.hpp"
@@ -23,21 +21,16 @@ class WsaExec final : public BackendExec {
       : BackendExec("wsa", config.pipeline_depth),
         cfg_(config),
         rule_(&rule),
-        injector_(injector) {}
-
-  void prepare(const lgca::SiteLattice& state) override {
-    LATTICE_REQUIRE(state.boundary() == lgca::Boundary::Null,
-                    "pipelined backends require null boundaries");
-    pipe_.emplace(state.extent(), *rule_, cfg_.pipeline_depth,
-                  cfg_.wsa_width, /*t0=*/0, cfg_.fast_kernel, injector_);
-  }
+        injector_(injector),
+        pipe_(pipelined_extent(config), rule, config.pipeline_depth,
+              config.wsa_width, /*t0=*/0, config.fast_kernel, injector) {}
 
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
     if (chunk == depth_) {
-      pipe_->set_t0(generation);
-      state = pipe_->run(state);
-      const arch::PipelineStats& s = pipe_->stats();
+      pipe_.set_t0(generation);
+      state = pipe_.run(state);
+      const arch::PipelineStats& s = pipe_.stats();
       stats_.ticks += s.ticks - prev_.ticks;
       stats_.site_updates += s.site_updates - prev_.site_updates;
       stats_.buffer_sites = s.buffer_sites;
@@ -69,7 +62,7 @@ class WsaExec final : public BackendExec {
   LatticeEngine::Config cfg_;  // copied: the engine may be moved
   const lgca::Rule* rule_;
   fault::FaultInjector* injector_;
-  std::optional<arch::WsaPipeline> pipe_;
+  arch::WsaPipeline pipe_;
   arch::PipelineStats prev_;  // pipe_'s counters at the last harvest
 };
 

@@ -6,8 +6,6 @@
 // after bank conflicts in the configured parts. Main memory demand is
 // a constant 2·D bits/tick regardless of depth — the point of §5.
 
-#include <optional>
-
 #include "exec_factories.hpp"
 #include "lattice/arch/design_space.hpp"
 #include "lattice/arch/wsa_e.hpp"
@@ -24,22 +22,17 @@ class WsaEExec final : public BackendExec {
       : BackendExec("wsa_e", config.pipeline_depth),
         cfg_(config),
         rule_(&rule),
-        injector_(injector) {}
-
-  void prepare(const lgca::SiteLattice& state) override {
-    LATTICE_REQUIRE(state.boundary() == lgca::Boundary::Null,
-                    "pipelined backends require null boundaries");
-    pipe_.emplace(state.extent(), *rule_, cfg_.pipeline_depth, /*t0=*/0,
-                  cfg_.fast_kernel, injector_, cfg_.wsa_e_buffer);
-  }
+        injector_(injector),
+        pipe_(pipelined_extent(config), rule, config.pipeline_depth, /*t0=*/0,
+              config.fast_kernel, injector, config.wsa_e_buffer) {}
 
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
     if (chunk == depth_) {
-      pipe_->set_t0(generation);
-      state = pipe_->run(state);
-      harvest(pipe_->stats(), prev_);
-      prev_ = pipe_->stats();
+      pipe_.set_t0(generation);
+      state = pipe_.run(state);
+      harvest(pipe_.stats(), prev_);
+      prev_ = pipe_.stats();
     } else {
       arch::WsaEPipeline tail(state.extent(), *rule_, static_cast<int>(chunk),
                               generation, cfg_.fast_kernel, injector_,
@@ -79,7 +72,7 @@ class WsaEExec final : public BackendExec {
   LatticeEngine::Config cfg_;  // copied: the engine may be moved
   const lgca::Rule* rule_;
   fault::FaultInjector* injector_;
-  std::optional<arch::WsaEPipeline> pipe_;
+  arch::WsaEPipeline pipe_;
   arch::WsaEStats prev_;       // pipe_'s counters at the last harvest
   std::int64_t stream_ticks_ = 0;
 };

@@ -11,8 +11,7 @@ namespace {
 // in the registry (wsa.run_ns, pool.task_ns, bitplane.update_ns, ...)
 // nests inside one of these or the pass, and would double-count if
 // listed here.
-constexpr std::array<std::string_view, 3> kEngineStages = {
-    "engine.capture_ns",
+constexpr std::array<std::string_view, 2> kEngineStages = {
     "engine.checkpoint_ns",
     "engine.restore_ns",
 };

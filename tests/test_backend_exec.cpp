@@ -58,11 +58,12 @@ TEST_P(WsaEGasTest, BitExactWithReferenceAndWsa) {
   LatticeEngine wsa(cfg(Backend::Wsa, GetParam()));
   seed(wsa_e);
   seed(wsa);
+  const EngineCheckpoint start = wsa_e.checkpoint();
   wsa_e.advance(10);
   wsa.advance(10);
   EXPECT_TRUE(wsa_e.state() == wsa.state())
       << "moving the line buffer off chip must not change the physics";
-  EXPECT_TRUE(wsa_e.verify_against_reference());
+  EXPECT_TRUE(wsa_e.verify_against_reference(start));
 }
 
 TEST(WsaEExec, RejectsPeriodicBoundaries) {
@@ -95,13 +96,14 @@ TEST_P(PersistentExecTest, RaggedAdvancesMatchStraightRun) {
   LatticeEngine ragged(cfg(GetParam()));
   seed(straight);
   seed(ragged);
+  const EngineCheckpoint start = ragged.checkpoint();
   straight.advance(17);
   // 1 + 5 + 2 + 6 + 3 = 17, exercising full passes, short tails, and
   // the rearm path between them.
   for (const int step : {1, 5, 2, 6, 3}) ragged.advance(step);
   EXPECT_EQ(ragged.generation(), 17);
   EXPECT_TRUE(ragged.state() == straight.state());
-  EXPECT_TRUE(ragged.verify_against_reference());
+  EXPECT_TRUE(ragged.verify_against_reference(start));
 }
 
 TEST_P(PersistentExecTest, RestoreDoesNotLeakPipelineState) {
@@ -112,6 +114,7 @@ TEST_P(PersistentExecTest, RestoreDoesNotLeakPipelineState) {
   LatticeEngine resumed(cfg(GetParam()));
   seed(straight);
   seed(resumed);
+  const EngineCheckpoint start = resumed.checkpoint();
   straight.advance(12);
   resumed.advance(6);
   const EngineCheckpoint ckpt = resumed.checkpoint();
@@ -119,7 +122,7 @@ TEST_P(PersistentExecTest, RestoreDoesNotLeakPipelineState) {
   resumed.restore(ckpt);
   resumed.advance(6);
   EXPECT_TRUE(resumed.state() == straight.state());
-  EXPECT_TRUE(resumed.verify_against_reference());
+  EXPECT_TRUE(resumed.verify_against_reference(start));
 }
 
 TEST_P(PersistentExecTest, StatsKeepAccumulatingAcrossPasses) {
@@ -171,6 +174,8 @@ TEST(WsaEExec, MainMemoryBandwidthIsIndependentOfDepth) {
   LatticeEngine b(deep);
   seed(a);
   seed(b);
+  const EngineCheckpoint a_start = a.checkpoint();
+  const EngineCheckpoint b_start = b.checkpoint();
   a.advance(6);
   b.advance(6);
   const PerformanceReport ra = a.report();
@@ -180,8 +185,8 @@ TEST(WsaEExec, MainMemoryBandwidthIsIndependentOfDepth) {
   EXPECT_DOUBLE_EQ(ra.bandwidth_bits_per_tick, rb.bandwidth_bits_per_tick);
   EXPECT_GT(rb.offchip_buffer_bits_per_tick, ra.offchip_buffer_bits_per_tick);
   EXPECT_GT(rb.offchip_buffer_sites, ra.offchip_buffer_sites);
-  EXPECT_TRUE(a.verify_against_reference());
-  EXPECT_TRUE(b.verify_against_reference());
+  EXPECT_TRUE(a.verify_against_reference(a_start));
+  EXPECT_TRUE(b.verify_against_reference(b_start));
 }
 
 // ---- executor capability checks ----
@@ -203,10 +208,11 @@ TEST(ExecCapabilities, WsaEAcceptsFaultPlans) {
   LatticeEngine clean(cfg(Backend::WsaE));
   seed(guarded);
   seed(clean);
+  const EngineCheckpoint start = guarded.checkpoint();
   guarded.advance(9);
   clean.advance(9);
   EXPECT_TRUE(guarded.state() == clean.state());
-  EXPECT_TRUE(guarded.verify_against_reference());
+  EXPECT_TRUE(guarded.verify_against_reference(start));
 }
 
 }  // namespace

@@ -394,6 +394,7 @@ TEST(EngineBitPlane, MatchesReferenceBackendOverHistory) {
       lgca::add_obstacle_disk(ref.state(), 40, 64, 6);
       lgca::fill_flow(ref.state(), ref.gas_model(), 0.3, 0.1, 99);
       bits.state() = ref.state();
+      const EngineCheckpoint start = bits.checkpoint();
       // Split advances so generation_ threads through as t0 correctly.
       ref.advance(60);
       ref.advance(47);
@@ -401,7 +402,7 @@ TEST(EngineBitPlane, MatchesReferenceBackendOverHistory) {
       bits.advance(47);
       EXPECT_TRUE(ref.state() == bits.state());
       EXPECT_EQ(bits.generation(), 107);
-      EXPECT_TRUE(bits.verify_against_reference());
+      EXPECT_TRUE(bits.verify_against_reference(start));
     }
   }
 }

@@ -90,6 +90,8 @@ TEST_P(Exec3Matrix, BackendsMatchEachOtherAndGolden) {
                          p.tile_generations));
   seed_engine3(ref3, ext);
   seed_engine3(bp3, ext);
+  const EngineCheckpoint ref3_start = ref3.checkpoint();
+  const EngineCheckpoint bp3_start = bp3.checkpoint();
 
   lgca3d::Lattice3 golden(ext, lgca3d::to_boundary3(p.boundary));
   seed_volume(golden, 31);
@@ -104,8 +106,8 @@ TEST_P(Exec3Matrix, BackendsMatchEachOtherAndGolden) {
                         golden.site_count()),
             0)
       << "the flat engine raster must equal the golden volume";
-  EXPECT_TRUE(ref3.verify_against_reference());
-  EXPECT_TRUE(bp3.verify_against_reference());
+  EXPECT_TRUE(ref3.verify_against_reference(ref3_start));
+  EXPECT_TRUE(bp3.verify_against_reference(bp3_start));
 }
 
 TEST_P(Exec3Matrix, RaggedAdvancesMatchStraightRun) {
@@ -140,11 +142,12 @@ TEST(Exec3Tiling, ExplicitPlanEngagesAndStaysExact) {
   EXPECT_EQ(untiled.chunk_quantum(), 1);
   seed_engine3(tiled, ext);
   seed_engine3(untiled, ext);
+  const EngineCheckpoint start = tiled.checkpoint();
   tiled.advance(11);  // not a multiple of the quantum: tail path too
   untiled.advance(11);
   EXPECT_TRUE(tiled.state() == untiled.state())
       << "the trapezoidal z-slab schedule must be bit-identical";
-  EXPECT_TRUE(tiled.verify_against_reference());
+  EXPECT_TRUE(tiled.verify_against_reference(start));
 }
 
 TEST(Exec3Tiling, ReferenceBackendIgnoresTilePlans) {

@@ -315,6 +315,7 @@ TEST_P(RecoveryTest, RecoversBitExactFromTransientFlips) {
   core::LatticeEngine clean(engine_config(GetParam(), {256, 256}));
   lgca::fill_random(faulty.state(), faulty.gas_model(), 0.3, 123, 0.15);
   lgca::fill_random(clean.state(), clean.gas_model(), 0.3, 123, 0.15);
+  const core::EngineCheckpoint start = faulty.checkpoint();
 
   faulty.advance(12);
   clean.advance(12);
@@ -334,7 +335,7 @@ TEST_P(RecoveryTest, RecoversBitExactFromTransientFlips) {
       << "redone passes cost real work";
   EXPECT_LT(r.effective_rate, r.modeled_rate)
       << "recovery overhead must show up in the effective rate";
-  EXPECT_TRUE(faulty.verify_against_reference());
+  EXPECT_TRUE(faulty.verify_against_reference(start));
 }
 
 TEST_P(RecoveryTest, CheckpointIntervalSpanningMultiplePasses) {

@@ -361,6 +361,7 @@ TEST(PlaneFaultEngine, RecoveredRunMatchesFaultFreeGolden) {
       engine_cfg(core::Backend::Reference, lgca::Boundary::Null));
   seed_engine(guarded);
   seed_engine(golden);
+  const core::EngineCheckpoint start = guarded.checkpoint();
   guarded.advance(80);
   golden.advance(80);
   const core::PerformanceReport r = guarded.report();
@@ -369,7 +370,7 @@ TEST(PlaneFaultEngine, RecoveredRunMatchesFaultFreeGolden) {
   EXPECT_GT(r.rollbacks, 0);
   EXPECT_TRUE(guarded.state() == golden.state())
       << "committed generations must be the fault-free evolution";
-  EXPECT_TRUE(guarded.verify_against_reference());
+  EXPECT_TRUE(guarded.verify_against_reference(start));
 }
 
 TEST(PlaneFaultEngine, ReferenceMirrorTracksBitPlaneRun) {

@@ -233,8 +233,10 @@ TEST(TemporalTileEngine, BitPlaneTiledRunVerifiesAgainstReference) {
     cfg.tile_generations = k;
     core::LatticeEngine engine(cfg);
     fill_flow(engine.state(), engine.gas_model(), 0.3, 0.1, 11);
+    const core::EngineCheckpoint start = engine.checkpoint();
     engine.advance(25);
-    EXPECT_TRUE(engine.verify_against_reference()) << "tile_generations " << k;
+    EXPECT_TRUE(engine.verify_against_reference(start))
+        << "tile_generations " << k;
   }
 }
 
@@ -279,13 +281,14 @@ TEST(TemporalTileEngine, GuardedCheckpointsQuantizeToTileBlocks) {
   // The requested interval of 5 quantizes up to a whole tile block.
   EXPECT_EQ(engine.config().checkpoint_interval, 6);
   fill_flow(engine.state(), engine.gas_model(), 0.3, 0.1, 31);
+  const core::EngineCheckpoint start = engine.checkpoint();
   engine.advance(12);
   EXPECT_EQ(engine.generation(), 12);
   const core::PerformanceReport r = engine.report();
   EXPECT_GT(r.rollbacks, 0);
   EXPECT_GT(r.interval_shrinks, 0);
   EXPECT_GT(r.remapped_slices, 0);
-  EXPECT_TRUE(engine.verify_against_reference());
+  EXPECT_TRUE(engine.verify_against_reference(start));
 }
 
 }  // namespace
