@@ -3,12 +3,14 @@
 // The paper's throughput analysis "assumes a memory system capable of
 // providing full bandwidth to the processor system" and flags it as "a
 // very important assumption". This module checks when it holds: an
-// interleaved, banked memory serves the address streams the two
+// interleaved, banked memory serves the address streams the
 // architectures actually generate —
 //
 //   WSA: one raster stream, P consecutive sites per tick;
 //   SPA: L/W concurrent slice streams, row-staggered, one site each
-//        per tick, whose global addresses are W apart.
+//        per tick, whose global addresses are W apart;
+//   WSA-E: each stage's two off-chip line FIFOs, one head write and
+//        one tail read each per tick (line_buffer_stall_rate).
 //
 // Each bank accepts one access and is then busy for `bank_busy_ticks`.
 // Raster streams interleave perfectly when banks ≥ busy·P. The SPA
@@ -70,5 +72,19 @@ std::vector<std::vector<std::int64_t>> wsa_address_schedule(Extent e,
 /// pattern). `slice_width` must divide the lattice width.
 std::vector<std::vector<std::int64_t>> spa_address_schedule(
     Extent e, std::int64_t slice_width);
+
+/// WSA-E buffer-channel stalls per stream tick (§5): the line buffer
+/// of a width-1 WSA stage moved off chip into `parts`. A stage's
+/// external buffer is two line FIFOs; per tick each sees a head write
+/// at address p mod cap and a tail read at (p+1) mod cap, where cap is
+/// the line length plus slack, rounded up to even so the pair always
+/// straddles a two-bank part. Every FIFO of every stage runs this
+/// pattern in lockstep, so one channel's rate is the machine's. The
+/// pattern is periodic in cap ticks, so a window of a pass's
+/// `extent.area() + lead` stream ticks, capped at max(4·cap, 1024),
+/// measures it exactly up to end-of-window rounding. 0 for
+/// dual-bank, single-tick parts, which sustain full bandwidth.
+double line_buffer_stall_rate(Extent extent, std::int64_t lead,
+                              MemoryConfig parts);
 
 }  // namespace lattice::arch

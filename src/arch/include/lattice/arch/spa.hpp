@@ -47,6 +47,10 @@
 #include "lattice/fault/fault.hpp"
 #include "lattice/lgca/lattice.hpp"
 
+namespace lattice::lgca {
+class CollisionLut;
+}  // namespace lattice::lgca
+
 namespace lattice::arch {
 
 /// Counters for a SPA run.
@@ -70,12 +74,14 @@ class SpaMachine {
   /// Partition `extent` into slices of width `slice_width` (which must
   /// divide the lattice width) and process `depth` generations per
   /// pass. `threads` selects the execution strategy (see file comment);
-  /// `fast_kernel` opts gas rules into the fused CollisionLut path.
+  /// `fast_kernel` opts gas rules into the fused CollisionLut path,
+  /// resolved once here.
   ///
   /// A non-null *armed* `fault` forces the cycle-exact strategy (the
   /// simulated slice buffers and side channels only exist there), arms
   /// per-stage parity shadows, side-channel link checks, stuck-at masks
-  /// for (depth, slice) lanes, and the per-depth conservation audit.
+  /// for (depth, slice) lanes, and, for gas rules on the fused path,
+  /// the per-depth conservation audit (fault::audit_chain).
   /// Slices the injector has remapped (stuck chips taken out of the
   /// datapath) charge one extra slice-stream of ticks per pass — the
   /// surviving neighbor streams the failed slice's columns serially.
@@ -117,7 +123,7 @@ class SpaMachine {
   int depth_;
   std::int64_t t0_;
   unsigned threads_;
-  bool fast_kernel_;
+  const lgca::CollisionLut* lut_;  // non-null iff the fused path is on
   fault::FaultInjector* fault_ = nullptr;
   SpaStats stats_;
 

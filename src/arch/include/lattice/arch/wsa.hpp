@@ -6,6 +6,16 @@
 // last stage's output, which is the architecture's defining virtue: the
 // bandwidth demand is 2·D·P bits per tick no matter how deep the
 // pipeline is.
+//
+// The extensible WSA-E (§5, §6.3) is this chain at width 1. Moving the
+// line buffer off chip frees die area, so the lattice length L is
+// unbounded, and costs pins: each PE streams its two externally
+// buffered window rows in and out every tick, 4·D pins on top of the
+// 2·D stream, which at the 1987 budget leaves one PE per chip. The
+// stages, and so the bits, are the same as here. What WSA-E adds is
+// accounting, kept by its executor: the off-chip ledger and the stalls
+// of the external buffer parts (line_buffer_stall_rate in
+// arch/memory.hpp).
 
 #pragma once
 
@@ -42,8 +52,8 @@ class WsaPipeline {
   /// `fast_kernel` opts gas rules into the fused CollisionLut gather
   /// inside every stage (identical output; non-gas rules ignore it).
   /// A non-null `fault` arms injection and online detection in every
-  /// stage (see StreamStage) and enables the pipeline-level
-  /// particle-conservation checks at the end of each run.
+  /// stage (see StreamStage) and, for gas rules on the fused gather,
+  /// the chain conservation audit (fault::audit_chain) of each run.
   ///
   /// The stage chain (ring buffers, parity shadows) is built once here
   /// and persists across runs; each run() rearms it in place, so a
@@ -67,6 +77,9 @@ class WsaPipeline {
   const PipelineStats& stats() const noexcept { return stats_; }
   int depth() const noexcept { return depth_; }
   int width() const noexcept { return width_; }
+  /// Total chain latency in stream positions: a pass streams
+  /// extent.area() + lead() positions.
+  std::int64_t lead() const noexcept { return lead_; }
 
   /// Modeled wall-clock update rate for a technology: updates/s
   /// sustained at tech.clock_hz given the measured updates_per_tick.

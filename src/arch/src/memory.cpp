@@ -73,4 +73,19 @@ std::vector<std::vector<std::int64_t>> spa_address_schedule(
   return out;
 }
 
+double line_buffer_stall_rate(Extent extent, std::int64_t lead,
+                              MemoryConfig parts) {
+  const std::int64_t cap = ((extent.width + 3) / 2) * 2;
+  const std::int64_t window = std::min<std::int64_t>(
+      extent.area() + lead, std::max<std::int64_t>(4 * cap, 1024));
+  std::vector<std::vector<std::int64_t>> schedule(
+      static_cast<std::size_t>(window));
+  for (std::int64_t t = 0; t < window; ++t) {
+    schedule[static_cast<std::size_t>(t)] = {t % cap, (t + 1) % cap};
+  }
+  BankedMemory channel(parts);
+  const MemoryResult res = channel.service(schedule);
+  return static_cast<double>(res.stalls) / static_cast<double>(window);
+}
+
 }  // namespace lattice::arch

@@ -312,7 +312,7 @@ SpaMachine::SpaMachine(Extent extent, const lgca::Rule& rule,
       depth_(depth),
       t0_(t0),
       threads_(threads),
-      fast_kernel_(fast_kernel),
+      lut_(fast_kernel ? lgca::CollisionLut::try_get(rule) : nullptr),
       fault_(fault) {
   LATTICE_REQUIRE(extent.width > 0 && extent.height > 0,
                   "SPA extent must be positive");
@@ -349,8 +349,6 @@ lgca::SiteLattice SpaMachine::run(const lgca::SiteLattice& in) {
 }
 
 lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
-  const lgca::CollisionLut* lut =
-      fast_kernel_ ? lgca::CollisionLut::try_get(*rule_) : nullptr;
   const Extent slice_extent{slice_width_, extent_.height};
   const std::int64_t slice_area = slice_extent.area();
   const std::int64_t stage_delay = slice_width_ + 1;
@@ -367,7 +365,7 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
       chain.reserve(static_cast<std::size_t>(depth_));
       for (int d = 0; d < depth_; ++d) {
         chain.emplace_back(slice_extent, j * slice_width_, extent_.width,
-                           *rule_, lut, t0_ + d,
+                           *rule_, lut_, t0_ + d,
                            j * slice_width_ + d * stage_delay, fault_, d, j);
       }
     }
@@ -437,31 +435,17 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
 
   // Online conservation audit (gas rules only). Per slice the ledger
   // does not balance — side channels carry particles between slices —
-  // but aggregated over all slices of one depth, the emitted stream
-  // must hold exactly the particles stored minus the exactly-predicted
-  // edge outflow, the stored stream must match the upstream emission,
-  // and obstacle geometry is static.
-  if (fault_ != nullptr && lut != nullptr) {
-    std::int64_t link_mass = 0;
-    std::int64_t link_obs = 0;
-    for (std::int64_t p = 0; p < extent_.area(); ++p) {
-      const lgca::Site v = in[static_cast<std::size_t>(p)];
-      link_mass += lgca::particle_count(v);
-      link_obs += lgca::is_obstacle(v) ? 1 : 0;
-    }
-    for (int d = 0; d < depth_; ++d) {
-      fault::StageAudit agg;
-      for (std::int64_t j = 0; j < slices_; ++j) {
-        agg += stages[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)]
-                   .audit();
+  // but aggregated over all slices of one depth it is one generation
+  // of the chain.
+  if (fault_ != nullptr) {
+    std::vector<fault::StageAudit> per_depth(static_cast<std::size_t>(depth_));
+    for (const auto& chain : stages) {
+      for (int d = 0; d < depth_; ++d) {
+        per_depth[static_cast<std::size_t>(d)] +=
+            chain[static_cast<std::size_t>(d)].audit();
       }
-      if (agg.in_mass != link_mass || agg.in_obstacles != link_obs) {
-        fault_->report_conservation_error();
-      }
-      if (!agg.balanced()) fault_->report_conservation_error();
-      link_mass = agg.out_mass;
-      link_obs = agg.out_obstacles;
     }
+    fault::audit_chain(in, per_depth, *fault_);
   }
   return out;
 }
@@ -474,8 +458,6 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
 // the side-channel synchronization. Output is the reference evolution
 // by construction: every site update reads pure generation-d data.
 lgca::SiteLattice SpaMachine::run_parallel(const lgca::SiteLattice& in) {
-  const lgca::CollisionLut* lut =
-      fast_kernel_ ? lgca::CollisionLut::try_get(*rule_) : nullptr;
   const std::int64_t h = extent_.height;
   const std::int64_t area = extent_.area();
 
@@ -519,8 +501,8 @@ lgca::SiteLattice SpaMachine::run_parallel(const lgca::SiteLattice& in) {
         const std::int64_t yb = c * chunk;
         const std::int64_t ye = std::min(h, yb + chunk);
         for (std::int64_t y = yb; y < ye; ++y) {
-          if (lut != nullptr) {
-            lut->update_span(dst, src, t, y, x0, x1);
+          if (lut_ != nullptr) {
+            lut_->update_span(dst, src, t, y, x0, x1);
           } else {
             for (std::int64_t x = x0; x < x1; ++x) {
               dst.at({x, y}) = rule_->apply(src.window_at({x, y}),

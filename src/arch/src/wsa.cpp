@@ -102,26 +102,12 @@ lgca::SiteLattice WsaPipeline::run(const lgca::SiteLattice& in) {
   obs::count(WsaObs::get().sites, area * depth_);
 
   // Online conservation audit (gas rules only): each stage is one
-  // generation, so its emitted stream must carry exactly the particles
-  // it received minus the exactly-predicted edge outflow, its input
-  // must match the upstream emission, and obstacle geometry is static.
-  if (fault_ != nullptr && lut_ != nullptr) {
-    std::int64_t link_mass = 0;
-    std::int64_t link_obs = 0;
-    for (std::int64_t p = 0; p < area; ++p) {
-      const lgca::Site v = in[static_cast<std::size_t>(p)];
-      link_mass += lgca::particle_count(v);
-      link_obs += lgca::is_obstacle(v) ? 1 : 0;
-    }
-    for (const StreamStage& s : stages_) {
-      const fault::StageAudit& a = s.audit();
-      if (a.in_mass != link_mass || a.in_obstacles != link_obs) {
-        fault_->report_conservation_error();
-      }
-      if (!a.balanced()) fault_->report_conservation_error();
-      link_mass = a.out_mass;
-      link_obs = a.out_obstacles;
-    }
+  // generation of the chain.
+  if (fault_ != nullptr) {
+    std::vector<fault::StageAudit> audits;
+    audits.reserve(stages_.size());
+    for (const StreamStage& s : stages_) audits.push_back(s.audit());
+    fault::audit_chain(in, audits, *fault_);
   }
   return out;
 }

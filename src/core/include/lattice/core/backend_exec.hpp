@@ -1,17 +1,19 @@
 // BackendExec — the polymorphic executor layer behind LatticeEngine.
 //
 // One executor per Backend value, created by make_backend_exec() and
-// owned by the engine; a constructed executor is ready to run its
-// first pass. Everything backend-specific lives here: kernel
+// owned by the engine; backends that run the same machine share an
+// executor class keyed on the backend. A constructed executor is
+// ready to run its first pass. Everything backend-specific lives here: kernel
 // detection (CollisionLut / PlaneKernel), slice-width defaulting,
 // boundary requirements, the per-pass obs histogram, fault-injector
 // wiring, persistent pipeline/machine state, and the report fields
 // only that backend knows (bandwidth, off-chip buffer ledger). The
 // engine itself never branches on the backend.
 //
-// Adding a backend is one new translation unit (docs/ARCHITECTURE.md):
-// subclass BackendExec, implement run_pass(), and add a case to the
-// factory in backend_exec.cpp.
+// Adding a backend (docs/ARCHITECTURE.md) starts by generalizing an
+// existing executor, as WsaExec serves both WSA and WSA-E; only a new
+// machine subclasses BackendExec, implements run_pass(), and adds a
+// case to the factory in backend_exec.cpp.
 
 #pragma once
 

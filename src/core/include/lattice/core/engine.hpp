@@ -160,10 +160,6 @@ class LatticeEngine {
     /// and bit-plane sweeps, runs SPA slice pipelines as a wavefront.
     /// 1 = serial.
     unsigned threads = 1;
-    /// Route gas rules through the fused CollisionLut kernel (detected
-    /// once at construction; non-gas rules always use the generic
-    /// path). On by default — output is bit-identical either way.
-    bool fast_kernel = true;
     /// Temporal blocking for the software backends (Reference fused
     /// path and BitPlane): generations computed per cache-resident
     /// trapezoidal tile before the next tile is touched (core/

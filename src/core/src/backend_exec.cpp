@@ -52,11 +52,10 @@ std::unique_ptr<BackendExec> make_backend_exec(LatticeEngine::Config& config,
     case Backend::BitPlane3:
       return detail::make_bitplane_exec(config, rule, injector);
     case Backend::Wsa:
+    case Backend::WsaE:
       return detail::make_wsa_exec(config, rule, injector);
     case Backend::Spa:
       return detail::make_spa_exec(config, rule, injector);
-    case Backend::WsaE:
-      return detail::make_wsa_e_exec(config, rule, injector);
   }
   LATTICE_REQUIRE(false, "unknown backend");
   return nullptr;

@@ -290,9 +290,11 @@ std::int64_t LatticeEngine::chunk_quantum() const noexcept {
   return std::max<std::int64_t>(std::int64_t{1}, exec_->chunk_quantum());
 }
 
+// Untimed: engine.restore_ns is a phase of advance() (the guarded
+// loop's rollbacks), and a caller's restore() lies outside advance()'s
+// wall clock.
 void LatticeEngine::restore(const EngineCheckpoint& ckpt) {
   require_fits(ckpt, state_, config_.depth);
-  const obs::ScopedTimer timer(EngineObs::get().restore_ns);
   state_ = ckpt.state;
   generation_ = ckpt.generation;
 }

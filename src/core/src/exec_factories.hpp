@@ -1,6 +1,6 @@
-// Private per-backend executor factories, one per translation unit
-// (exec_*.cpp), plus the boundary check the pipelined executors share.
-// Only backend_exec.cpp's make_backend_exec() calls the factories; the
+// Private executor factories, one per machine family (exec_*.cpp),
+// plus the boundary check the pipelined executors share. Only
+// backend_exec.cpp's make_backend_exec() calls the factories; the
 // classes themselves stay file-local to their TU.
 
 #pragma once
@@ -26,6 +26,8 @@ std::unique_ptr<BackendExec> make_bitplane_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
 
+/// Wsa and WsaE: one executor, keyed on the backend. WSA-E runs the
+/// WSA pipeline at width 1 and keeps the off-chip buffer ledger.
 std::unique_ptr<BackendExec> make_wsa_exec(const LatticeEngine::Config& config,
                                            const lgca::Rule& rule,
                                            fault::FaultInjector* injector);
@@ -34,9 +36,5 @@ std::unique_ptr<BackendExec> make_wsa_exec(const LatticeEngine::Config& config,
 std::unique_ptr<BackendExec> make_spa_exec(LatticeEngine::Config& config,
                                            const lgca::Rule& rule,
                                            fault::FaultInjector* injector);
-
-std::unique_ptr<BackendExec> make_wsa_e_exec(
-    const LatticeEngine::Config& config, const lgca::Rule& rule,
-    fault::FaultInjector* injector);
 
 }  // namespace lattice::core::detail

@@ -33,7 +33,7 @@ class ReferenceExec final : public BackendExec {
     // config.gas, so a LUT would load for it; only golden_run knows to
     // run it as the cubic gas. The LUT sweep and the row bands are 2-D.
     if (!backend_is_3d(config.backend)) {
-      if (config.fast_kernel) lut_ = lgca::CollisionLut::try_get(rule);
+      lut_ = lgca::CollisionLut::try_get(rule);
       threads_ = config.threads;
     }
     if (injector != nullptr) guard_.emplace(*injector);

@@ -22,6 +22,9 @@
 //                   lies outside the lattice (null boundaries drain, but
 //                   by an exactly computable amount). Obstacle bits are
 //                   static geometry and must balance on their own.
+//   audit_chain   — the pass-level check over those ledgers that WSA,
+//                   WSA-E and SPA share: each generation stores what
+//                   the previous one emitted, and balances.
 //   CorruptionError — thrown by the engine when the bounded retry
 //                   budget is exhausted; carries the counter snapshot.
 //
@@ -37,6 +40,7 @@
 
 #include "lattice/common/error.hpp"
 #include "lattice/lgca/geometry.hpp"
+#include "lattice/lgca/lattice.hpp"
 #include "lattice/lgca/site.hpp"
 #include "lattice/obs/metrics.hpp"
 
@@ -343,5 +347,16 @@ class FaultInjector {
   FaultCounters counters_;
   ObsIds obs_;
 };
+
+/// The conservation audit of one pass through a pipelined machine:
+/// generation d must store exactly what generation d-1 emitted (the
+/// first stores `in`), and each generation's ledger must balance.
+/// `per_generation` holds one ledger per generation of the pass, in
+/// order (a WSA stage's, or a depth's summed over SPA slices). Ledgers
+/// are only kept for gas rules; a chain of invalid ones is skipped.
+/// Every violation is reported as a conservation error.
+void audit_chain(const lgca::SiteLattice& in,
+                 const std::vector<StageAudit>& per_generation,
+                 FaultInjector& injector);
 
 }  // namespace lattice::fault

@@ -241,4 +241,24 @@ int FaultInjector::disable_stuck() noexcept {
   return distinct;
 }
 
+void audit_chain(const lgca::SiteLattice& in,
+                 const std::vector<StageAudit>& per_generation,
+                 FaultInjector& injector) {
+  if (per_generation.empty() || !per_generation.front().valid) return;
+  std::int64_t link_mass = 0;
+  std::int64_t link_obstacles = 0;
+  for (std::size_t p = 0; p < in.site_count(); ++p) {
+    link_mass += lgca::particle_count(in[p]);
+    link_obstacles += lgca::is_obstacle(in[p]) ? 1 : 0;
+  }
+  for (const StageAudit& a : per_generation) {
+    if (a.in_mass != link_mass || a.in_obstacles != link_obstacles) {
+      injector.report_conservation_error();
+    }
+    if (!a.balanced()) injector.report_conservation_error();
+    link_mass = a.out_mass;
+    link_obstacles = a.out_obstacles;
+  }
+}
+
 }  // namespace lattice::fault

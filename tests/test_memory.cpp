@@ -107,5 +107,19 @@ TEST(BankedMemory, EmptyScheduleIsFree) {
   EXPECT_EQ(r.requests, 0);
 }
 
+// WSA-E's external line FIFOs take a head write and a tail read per
+// tick. Dual-bank, single-tick parts (the engine's default) keep up;
+// a single bank busy for two ticks stalls the machine. Both a window
+// bounded by area + lead and one at the 1024-tick floor.
+TEST(LineBufferStallRate, DefaultPartsKeepUpAndSlowPartsStall) {
+  const MemoryConfig line_parts{.banks = 2, .bank_busy_ticks = 1};
+  const MemoryConfig slow_parts{.banks = 1, .bank_busy_ticks = 2};
+  for (const Extent e : {Extent{8, 12}, Extent{64, 20}}) {
+    const std::int64_t lead = 3 * (e.width + 1);  // three width-1 stages
+    EXPECT_EQ(line_buffer_stall_rate(e, lead, line_parts), 0.0);
+    EXPECT_GT(line_buffer_stall_rate(e, lead, slow_parts), 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace lattice::arch

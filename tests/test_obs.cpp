@@ -509,6 +509,34 @@ TEST(EngineSnapshot, PhasesAccountForWallClockOnEveryBackend) {
   }
 }
 
+// A restore() outside advance() is not in advance()'s wall clock, so it
+// must stay out of the phase table too; SessionManager restores every
+// evicted session that way. Only the guarded loop's rollbacks, which
+// run inside advance(), time into engine.restore_ns.
+TEST(EngineSnapshot, RestoreOutsideAdvanceStaysOutOfThePhases) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with LATTICE_OBS=OFF";
+  obs::MetricsRegistry::global().reset();
+  core::LatticeEngine::Config config;
+  config.extent = {512, 512};
+  config.gas = lgca::GasKind::FHP_II;
+  config.backend = core::Backend::BitPlane;
+  core::LatticeEngine engine(config);
+  lgca::fill_random(engine.state(), engine.gas_model(), 0.3, 13);
+  const core::EngineCheckpoint start = engine.checkpoint();
+  engine.advance(2);
+  const auto restore_count = [&engine] {
+    const obs::MetricsSnapshot m = engine.snapshot().metrics;
+    const obs::HistogramStats* h = m.find_histogram("engine.restore_ns");
+    return h != nullptr ? h->count : 0;
+  };
+  const std::int64_t before = restore_count();
+  for (int i = 0; i < 1000; ++i) engine.restore(start);
+
+  EXPECT_EQ(restore_count(), before);
+  const core::MetricsReport report = engine.snapshot();
+  EXPECT_LT(report.phase_seconds(), 1.1 * report.wall_seconds + 1e-3);
+}
+
 // BitPlane gets the same first-class per-pass stage as every other
 // backend; its pack/update/unpack histograms still record, but they
 // nest *inside* engine.pass.bitplane_ns and must not double-count in
