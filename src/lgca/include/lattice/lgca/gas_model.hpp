@@ -25,8 +25,10 @@
 // Every rule conserves particle count and (integer) momentum; sites with
 // the obstacle bit set reflect all incoming particles (bounce-back).
 // Tables come in two chirality variants; callers select per (site, time)
-// with a deterministic parity so that pipelined replays of the same
-// evolution agree bit-for-bit with the golden reference.
+// with a deterministic hash so that pipelined replays of the same
+// evolution agree bit-for-bit with the golden reference. The hash is
+// defined a 64-site word at a time (chirality_word), the unit of the
+// bit-plane kernels; the per-site form reads one bit of it.
 
 #pragma once
 
@@ -43,15 +45,26 @@ enum class GasKind { HPP, FHP_I, FHP_II, FHP_III };
 std::string_view gas_kind_name(GasKind k) noexcept;
 
 namespace detail {
-// Constants of the chirality hash, shared by the 2-D form
-// (GasModel::chirality) and the cubic gas's (lgca3d::Gas3Model::
-// chirality), whose z term is its only addition: at z = 0 the two
-// hashes agree, which a test pins. Splitmix64-flavored multipliers.
-inline constexpr std::uint64_t kChirMixX = 0x9e3779b97f4a7c15ULL;
-inline constexpr std::uint64_t kChirMixY = 0xc2b2ae3d27d4eb4fULL;
-inline constexpr std::uint64_t kChirMixZ = 0xd6e8feb86659fd93ULL;
-inline constexpr std::uint64_t kChirMixT = 0x165667b19e3779f9ULL;
-inline constexpr std::uint64_t kChirFinal = 0xbf58476d1ce4e5b9ULL;
+/// The chirality hash, written once for the 2-D gases (at z = 0) and
+/// the cubic gas (lgca3d::Gas3Model): a 64-site word's coordinates,
+/// each times its own odd constant, through splitmix64's finalizer.
+/// Every output bit depends on every input bit, so all 64 bits of the
+/// word are usable draws (a single multiply would leave the low output
+/// bits a function of the low input bits alone).
+constexpr std::uint64_t chirality_mix(std::int64_t w, std::int64_t y,
+                                      std::int64_t z,
+                                      std::int64_t t) noexcept {
+  std::uint64_t h = static_cast<std::uint64_t>(w) * 0x9e3779b97f4a7c15ULL ^
+                    static_cast<std::uint64_t>(y) * 0xc2b2ae3d27d4eb4fULL ^
+                    static_cast<std::uint64_t>(z) * 0xd6e8feb86659fd93ULL ^
+                    static_cast<std::uint64_t>(t) * 0x165667b19e3779f9ULL;
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
 }  // namespace detail
 
 /// A fully tabulated lattice-gas model.
@@ -70,19 +83,20 @@ class GasModel {
     return table_[static_cast<std::size_t>(variant & 1)][in];
   }
 
-  /// Deterministic chirality variant for a site update; a function of
-  /// position and time so any replay (pipelined or not) agrees.
+  /// Chirality of the 64 sites x = 64·w .. 64·w + 63 of row y at time
+  /// t, site x in bit x & 63: one mix per word, so a bit-plane span
+  /// gets a whole word's variants from one call. A pure function of
+  /// (w, y, t), so any replay (pipelined or not) agrees.
+  static std::uint64_t chirality_word(std::int64_t w, std::int64_t y,
+                                      std::int64_t t) noexcept {
+    return detail::chirality_mix(w, y, 0, t);
+  }
+
+  /// Deterministic chirality variant for one site update: bit x & 63
+  /// of its word's hash (x >> 6 floors, so negative x is covered).
   static int chirality(std::int64_t x, std::int64_t y,
                        std::int64_t t) noexcept {
-    // Mix the coordinates so the choice is unbiased and not visibly
-    // striped; must stay a pure function of (x, y, t).
-    std::uint64_t h = static_cast<std::uint64_t>(x) * detail::kChirMixX ^
-                      static_cast<std::uint64_t>(y) * detail::kChirMixY ^
-                      static_cast<std::uint64_t>(t) * detail::kChirMixT;
-    h ^= h >> 29;
-    h *= detail::kChirFinal;
-    h ^= h >> 32;
-    return static_cast<int>(h & 1);
+    return static_cast<int>((chirality_word(x >> 6, y, t) >> (x & 63)) & 1);
   }
 
   /// Particle count of a site state (excludes obstacle bit).

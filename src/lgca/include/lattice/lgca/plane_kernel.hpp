@@ -7,9 +7,8 @@
 // shift per channel plane (the guard-word halo makes it branch-free),
 // collision is a fixed expression of ANDs/ORs/NOTs derived from the
 // exact-configuration structure of the HPP and FHP rules, and the
-// chirality variant is hashed per *event* site (head-on pairs are exact
-// two-particle configurations, hence rare) — the only per-site rather
-// than per-word work left in the FHP update, and hence its cost floor
+// chirality variants arrive a word at a time (GasModel::chirality_word,
+// one hash per 64 sites), so no step of the FHP update is per site
 // (docs/PERFORMANCE.md has the cost model).
 //
 // The word width is ISA-dispatched at runtime (plane_simd.hpp): the
@@ -120,7 +119,7 @@ class PlaneKernel {
   /// two lattices may have different heights (a trapezoid scratch strip
   /// vs the real lattice). `sem_y` is the row's *semantic* lattice
   /// coordinate — it alone drives the hex-parity tap set and the
-  /// per-event chirality hash, so a scratch strip whose storage rows
+  /// per-word chirality hash, so a scratch strip whose storage rows
   /// are offset (or wrapped) from the lattice rows still reproduces the
   /// golden update bit-exactly. Source rows resolve as src_y + tap.dy
   /// against cur's own height and boundary (out-of-range reads zero

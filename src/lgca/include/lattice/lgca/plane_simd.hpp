@@ -37,7 +37,7 @@ const char* to_string(SimdLevel level) noexcept;
 /// gathered source rows (see PlaneKernel). `last_word`/`tail_mask`
 /// identify the row's masked final payload word. HPP has no rest
 /// plane and no chirality; FHP takes the rest row plus (y, t) for the
-/// per-event chirality hash.
+/// per-word chirality hash.
 using HppSpanFn = void (*)(const std::uint64_t* const src[6],
                            const int dx[6], const std::uint64_t* obst,
                            std::uint64_t* const out[8], std::int64_t k0,

@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "lattice/lgca/gas_model.hpp"
-#include "lattice/lgca/plane_lattice.hpp"
 #include "plane_span.hpp"
 
 namespace {

@@ -3,14 +3,15 @@
 // AVX-512 variants (plane_span_x86.inc) are lane-for-lane transcripts
 // of these loops and defer to them for masked tails and sub-vector
 // remainders, so this file is the single place the boolean algebra is
-// derived and documented.
+// derived and documented. Every step is word algebra: even the FHP
+// chirality, the one stochastic input, arrives as a whole word from
+// GasModel::chirality_word.
 
 #include "plane_span.hpp"
 
 #include <bit>
 
 #include "lattice/lgca/gas_model.hpp"
-#include "lattice/lgca/plane_lattice.hpp"
 
 namespace lattice::lgca::detail {
 
@@ -90,18 +91,9 @@ void fhp_span(const std::uint64_t* const src[6], const int dx[6],
 
     const std::uint64_t ev =
         p0 | p1 | p2 | tr0 | tr1 | ann_any | cre_any;
-    // Chirality is consumed only where a head-on pair fired, and pairs
-    // are rare (an *exact* two-particle configuration), so hash the set
-    // bits of p0|p1|p2 individually instead of all 64 lanes — the
-    // kernel's only per-site work, now paid per event.
-    const std::uint64_t pe = p0 | p1 | p2;
-    std::uint64_t C = 0;
-    for (std::uint64_t bits = pe; bits != 0; bits &= bits - 1) {
-      const int j = std::countr_zero(bits);
-      C |= static_cast<std::uint64_t>(GasModel::chirality(
-               k * PlaneLattice::kWordBits + j, y, t))
-           << j;
-    }
+    // The chirality model is defined a word at a time: one hash gives
+    // all 64 sites' variants, read only where a head-on pair fired.
+    const std::uint64_t C = GasModel::chirality_word(k, y, t);
     // Variant 0 rotates a pair +60° (p_i → {i+1, i+4}), variant 1
     // rotates −60° (p_i → {i-1, i+2}); C picks per site.
     const std::uint64_t pA0 = p0 & ~C, pB0 = p0 & C;

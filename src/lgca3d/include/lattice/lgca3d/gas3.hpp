@@ -74,19 +74,20 @@ class Gas3Model {
   Vec3 momentum(Site s) const noexcept;
   Site reflect(Site s) const noexcept;
 
-  /// Deterministic chirality for a site update: the 2-D gases' hash
-  /// (lgca::GasModel::chirality) with a z term, so the two agree at
-  /// z = 0.
+  /// Chirality of the 64 sites x = 64·w .. 64·w + 63 of row (y, z) at
+  /// time t: the 2-D gases' word hash (lgca::GasModel::chirality_word)
+  /// with a z term, so the two agree at z = 0.
+  static std::uint64_t chirality_word(std::int64_t w, std::int64_t y,
+                                      std::int64_t z, std::int64_t t) noexcept {
+    return lgca::detail::chirality_mix(w, y, z, t);
+  }
+
+  /// Deterministic chirality for one site update: bit x & 63 of its
+  /// word's hash.
   static int chirality(std::int64_t x, std::int64_t y, std::int64_t z,
                        std::int64_t t) noexcept {
-    std::uint64_t h = static_cast<std::uint64_t>(x) * lgca::detail::kChirMixX ^
-                      static_cast<std::uint64_t>(y) * lgca::detail::kChirMixY ^
-                      static_cast<std::uint64_t>(z) * lgca::detail::kChirMixZ ^
-                      static_cast<std::uint64_t>(t) * lgca::detail::kChirMixT;
-    h ^= h >> 29;
-    h *= lgca::detail::kChirFinal;
-    h ^= h >> 32;
-    return static_cast<int>(h & 1);
+    return static_cast<int>((chirality_word(x >> 6, y, z, t) >> (x & 63)) &
+                            1);
   }
 
  private:

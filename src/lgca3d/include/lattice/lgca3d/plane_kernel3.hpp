@@ -19,9 +19,9 @@
 //       at a 0.3 fill, ≈ 4.9 per 64-site word. The two cycles are
 //       opposite rotations of the three pair masks, so a majority mask
 //       XORed with the chirality word picks each site's rotation and
-//       the new pair masks are AND-OR selects — word-parallel, with
-//       only the chirality hash evaluated per event bit, like the 2-D
-//       FHP span's head-on pairs.
+//       the new pair masks are AND-OR selects — word-parallel, the
+//       chirality word included: Gas3Model::chirality_word hashes once
+//       per 64 sites, like the 2-D FHP span's.
 //   everything else — singleton classes: identity.
 //
 // Obstacle sites bounce (each channel takes its opposite's gathered

@@ -1,7 +1,5 @@
 #include "lattice/lgca3d/plane_kernel3.hpp"
 
-#include <bit>
-
 #include "lattice/common/error.hpp"
 #include "lattice/lgca/scheduler.hpp"
 
@@ -37,10 +35,9 @@ constexpr int kObstaclePlane = 7;
 //   chirality word, ub = ev & (C ^ m4) takes the "from y" rotation and
 //   ua = ev & ~ub the "from z" one:
 //     nx = ua&Z2 | ub&Y2,  ny = ua&X2 | ub&Z2,  nz = ua&Y2 | ub&X2,
-//   each written to both channels of its axis. C is hashed only at ev
-//   bits, as the 2-D FHP span hashes its head-on pairs: ev is 7.7% of
-//   sites at the 0.3 fill (≈ 4.9 per word), one hash each, against 64
-//   for a dense mask.
+//   each written to both channels of its axis. C is one call to
+//   Gas3Model::chirality_word per word, as in the 2-D FHP span, and
+//   only its ev bits are read (ev is 7.7% of sites at the 0.3 fill).
 //
 //   Every other moving state is a singleton class: identity. The two
 //   detectors are disjoint (ev needs every axis in {0, 2}; the swaps
@@ -76,13 +73,7 @@ void gas3_span(const std::uint64_t* const src[kChannels],
     const std::uint64_t full2 = x2 & y2 & z2;
     const std::uint64_t pure = (x2 | x0) & (y2 | y0) & (z2 | z0);
     const std::uint64_t ev = pure & ~none & ~full2 & ~o & m;
-    std::uint64_t C = 0;
-    for (std::uint64_t bits = ev; bits != 0; bits &= bits - 1) {
-      const int j = std::countr_zero(bits);
-      C |= static_cast<std::uint64_t>(Gas3Model::chirality(
-               k * 64 + j, y, sem_z, t))
-           << j;
-    }
+    const std::uint64_t C = Gas3Model::chirality_word(k, y, sem_z, t);
     const std::uint64_t m4 = (x2 & y2) | (z2 & (x2 | y2));
     const std::uint64_t ub = ev & (C ^ m4);
     const std::uint64_t ua = ev & ~ub;

@@ -309,8 +309,8 @@ struct ShapeDigest {
 };
 
 constexpr ShapeDigest kShapeDigests[] = {
-    {kFhp2, 8, 0x931a3f03278f1f25ull},
-    {kFhp2, 64, 0xb020fd4b9735ee00ull},
+    {kFhp2, 8, 0x45c42ca660b7ad25ull},
+    {kFhp2, 64, 0x6079fbb9a44c724cull},
     {kHpp, 8, 0x98d97450ae7e63a5ull},
     {kHpp, 64, 0x1252a43bf9c0756bull},
 };
@@ -419,16 +419,16 @@ struct FaultPin {
 };
 
 constexpr FaultPin kFaultPins[] = {
-    {"Wsa", "flip", 207, 307, 69, 0, 1, 63540},
-    {"Wsa", "stuck", 30984, 60, 60, 0, 14, 40644},
-    {"WsaE", "flip", 207, 307, 69, 0, 1, 126900},
-    {"WsaE", "stuck", 61708, 60, 60, 0, 14, 81220},
-    {"WsaESlow", "flip", 207, 307, 69, 0, 1, 507510},
-    {"WsaESlow", "stuck", 61708, 60, 60, 0, 14, 324820},
-    {"Spa1", "flip", 207, 307, 69, 0, 1, 13680},
-    {"Spa1", "stuck", 528, 8, 8, 1, 0, 2840},
-    {"Spa3", "flip", 207, 307, 69, 0, 1, 13680},
-    {"Spa3", "stuck", 528, 8, 8, 1, 0, 2840},
+    {"Wsa", "flip", 207, 301, 69, 0, 1, 63540},
+    {"Wsa", "stuck", 31192, 60, 60, 0, 14, 40644},
+    {"WsaE", "flip", 207, 301, 69, 0, 1, 126900},
+    {"WsaE", "stuck", 61964, 60, 60, 0, 14, 81220},
+    {"WsaESlow", "flip", 207, 301, 69, 0, 1, 507510},
+    {"WsaESlow", "stuck", 61964, 60, 60, 0, 14, 324820},
+    {"Spa1", "flip", 207, 301, 69, 0, 1, 13680},
+    {"Spa1", "stuck", 520, 8, 8, 1, 0, 2840},
+    {"Spa3", "flip", 207, 301, 69, 0, 1, 13680},
+    {"Spa3", "stuck", 520, 8, 8, 1, 0, 2840},
 };
 
 TEST(HardwareCounters, ArmedRunsMatchPinnedRecoveryLedger) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <cstdint>
 #include <map>
 #include <tuple>
 
@@ -337,6 +339,103 @@ TEST(Chirality, IsDeterministicAndBalanced) {
   }
   EXPECT_GT(ones, n / 3);
   EXPECT_LT(ones, 2 * n / 3);
+}
+
+// ---- the chirality hash, a 64-site word at a time ----
+//
+// Kernels read chirality as one word per (w, y, t) and per-site callers
+// read one bit of it, so every bit position is a draw of its own. The
+// grid is fixed (no seeds): 16 words × 64 rows × 64 generations = 2^16
+// triples. A rate over n draws has standard error 0.5 / sqrt(n), so
+// every bound below sits at least 6σ out.
+
+// Calls f(w, y, t) on every triple of the grid.
+template <class F>
+void for_each_triple(F f) {
+  for (std::int64_t w = -8; w < 8; ++w) {
+    for (std::int64_t y = 0; y < 64; ++y) {
+      for (std::int64_t t = 0; t < 64; ++t) f(w, y, t);
+    }
+  }
+}
+
+// Rate at which bit j of chirality_word(w, y, t) equals bit j of
+// neighbour(w, y, t), over the bits in `mask` and the whole grid.
+template <class Neighbour>
+double agreement(Neighbour neighbour, std::uint64_t mask) {
+  std::int64_t differ = 0;
+  std::int64_t pairs = 0;
+  for_each_triple([&](std::int64_t w, std::int64_t y, std::int64_t t) {
+    differ += std::popcount(
+        (GasModel::chirality_word(w, y, t) ^ neighbour(w, y, t)) & mask);
+    pairs += std::popcount(mask);
+  });
+  EXPECT_GE(pairs, std::int64_t{1} << 16);
+  return 1.0 - static_cast<double>(differ) / static_cast<double>(pairs);
+}
+
+TEST(ChiralityWord, SiteIsOneBitOfItsWord) {
+  for (std::int64_t x = -200; x <= 300; ++x) {
+    const std::int64_t bit = ((x % 64) + 64) % 64;  // x mod 64, floored
+    for (const std::int64_t y : {-7, 0, 3, 64}) {
+      for (const std::int64_t t : {0, 1, 5, 1000}) {
+        const std::uint64_t word =
+            GasModel::chirality_word((x - bit) / 64, y, t);
+        ASSERT_EQ(GasModel::chirality(x, y, t),
+                  static_cast<int>((word >> bit) & 1))
+            << "x " << x << " y " << y << " t " << t;
+      }
+    }
+  }
+}
+
+TEST(ChiralityWord, EveryBitPositionIsBalanced) {
+  std::array<std::int64_t, 64> ones{};
+  std::int64_t words = 0;
+  for_each_triple([&](std::int64_t w, std::int64_t y, std::int64_t t) {
+    const std::uint64_t c = GasModel::chirality_word(w, y, t);
+    for (int j = 0; j < 64; ++j) {
+      ones[j] += static_cast<std::int64_t>((c >> j) & 1);
+    }
+    ++words;
+  });
+  ASSERT_GE(words, 4096);
+  for (int j = 0; j < 64; ++j) {
+    const double frac = static_cast<double>(ones[j]) / words;
+    EXPECT_GE(frac, 0.45) << "bit " << j;
+    EXPECT_LE(frac, 0.55) << "bit " << j;
+  }
+}
+
+TEST(ChiralityWord, NeighbouringDrawsAreIndependent) {
+  using W = std::int64_t;
+  const std::uint64_t all = ~std::uint64_t{0};
+  const struct {
+    const char* neighbour;
+    double rate;
+  } cases[] = {
+      // x and x + 1 inside a word: bits 0..62 against bits 1..63.
+      {"x + 1, same word",
+       agreement([](W w, W y, W t) {
+         return GasModel::chirality_word(w, y, t) >> 1;
+       }, all >> 1)},
+      // x = 64w + 63 against 64w + 64: bit 63 against the next word's
+      // bit 0.
+      {"x + 1, next word",
+       agreement([](W w, W y, W t) {
+         return GasModel::chirality_word(w + 1, y, t) << 63;
+       }, std::uint64_t{1} << 63)},
+      {"y + 1", agreement([](W w, W y, W t) {
+         return GasModel::chirality_word(w, y + 1, t);
+       }, all)},
+      {"t + 1", agreement([](W w, W y, W t) {
+         return GasModel::chirality_word(w, y, t + 1);
+       }, all)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_GE(c.rate, 0.47) << c.neighbour;
+    EXPECT_LE(c.rate, 0.53) << c.neighbour;
+  }
 }
 
 TEST(GasKindName, AllNamed) {

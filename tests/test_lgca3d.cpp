@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <tuple>
 
@@ -84,16 +86,55 @@ TEST(Gas3Model, SingleParticlesPassThrough) {
 }
 
 TEST(Gas3Model, ChiralityAtZZeroIsThe2dHash) {
-  // The cubic hash only adds a z term to the 2-D gases' hash.
+  // The cubic hash only adds a z term to the 2-D gases' hash, per site
+  // and per 64-site word (x doubles as a word index below).
   for (std::int64_t x = -5; x < 300; x += 7) {
     for (std::int64_t y = -3; y < 140; y += 11) {
       for (const std::int64_t t : {0, 1, 2, 17, 12345}) {
         ASSERT_EQ(Gas3Model::chirality(x, y, 0, t),
                   lgca::GasModel::chirality(x, y, t))
             << "x " << x << " y " << y << " t " << t;
+        ASSERT_EQ(Gas3Model::chirality_word(x, y, 0, t),
+                  lgca::GasModel::chirality_word(x, y, t))
+            << "w " << x << " y " << y << " t " << t;
       }
     }
   }
+}
+
+TEST(Gas3Model, ChiralitySiteIsOneBitOfItsWord) {
+  for (std::int64_t x = -200; x <= 300; ++x) {
+    const std::int64_t bit = ((x % 64) + 64) % 64;  // x mod 64, floored
+    for (const std::int64_t z : {-2, 1, 9}) {
+      const std::uint64_t word =
+          Gas3Model::chirality_word((x - bit) / 64, 3, z, 7);
+      ASSERT_EQ(Gas3Model::chirality(x, 3, z, 7),
+                static_cast<int>((word >> bit) & 1))
+          << "x " << x << " z " << z;
+    }
+  }
+}
+
+TEST(Gas3Model, ChiralityOfAdjacentZIsIndependent) {
+  // Bit j at z against bit j at z + 1 over 8 × 16 × 16 × 32 words, 64
+  // pairs each: 2^22 pairs, so the bounds sit far beyond sampling noise.
+  std::int64_t differ = 0;
+  std::int64_t pairs = 0;
+  for (std::int64_t w = -4; w < 4; ++w) {
+    for (std::int64_t y = 0; y < 16; ++y) {
+      for (std::int64_t z = 0; z < 16; ++z) {
+        for (std::int64_t t = 0; t < 32; ++t) {
+          differ += std::popcount(Gas3Model::chirality_word(w, y, z, t) ^
+                                  Gas3Model::chirality_word(w, y, z + 1, t));
+          pairs += 64;
+        }
+      }
+    }
+  }
+  const double agree =
+      1.0 - static_cast<double>(differ) / static_cast<double>(pairs);
+  EXPECT_GE(agree, 0.47);
+  EXPECT_LE(agree, 0.53);
 }
 
 TEST(Gas3Model, OppositeDirectionsPairUp) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 
 #include "lattice/arch/spa.hpp"
 #include "lattice/common/rng.hpp"
@@ -36,12 +37,17 @@ SiteLattice golden(const SiteLattice& in, const lgca::Rule& rule, int gens,
   return lat;
 }
 
+// gtest prints a parameter that has no printer as its raw bytes into
+// the ctest name, so the struct has no padding bytes: their stale stack
+// contents would rename a case from one test listing to the next.
 struct ParCase {
   std::int64_t slice;  // W (must divide 63)
-  int depth;
-  unsigned threads;
-  bool fast;
+  std::int32_t depth;
+  std::uint32_t threads;
+  std::int64_t fast;  // the fused gas kernel (a bool, stored as a word)
 };
+static_assert(std::has_unique_object_representations_v<ParCase>,
+              "ParCase must have no padding bytes");
 
 class ParallelSpaTest : public ::testing::TestWithParam<ParCase> {};
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "lattice/arch/spa.hpp"
 #include "lattice/common/rng.hpp"
 #include "lattice/lgca/ca_rules.hpp"
@@ -33,12 +35,17 @@ SiteLattice golden(const SiteLattice& in, const lgca::Rule& rule, int gens,
   return lat;
 }
 
+// gtest prints a parameter that has no printer as its raw bytes into
+// the ctest name, so every field is a full word: padding after an int
+// would hold stale stack bytes and rename a case between test listings.
 struct SpaCase {
   std::int64_t w;       // lattice width
   std::int64_t h;       // lattice height
   std::int64_t slice;   // W
-  int depth;            // P_k · stages
+  std::int64_t depth;   // P_k · stages
 };
+static_assert(std::has_unique_object_representations_v<SpaCase>,
+              "SpaCase must have no padding bytes");
 
 class SpaEquivalenceTest : public ::testing::TestWithParam<SpaCase> {};
 
