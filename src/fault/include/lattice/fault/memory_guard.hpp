@@ -17,7 +17,7 @@
 //       in aggregate, but memory at rest conserves every plane's
 //       popcount exactly: a plane row's population when it is read at
 //       generation t must equal its population when it was written at
-//       t-1. One SIMD popcount per written plane row per generation
+//       t-1. One popcount per written plane row per generation
 //       (PlaneSpanOps::popcount — the audit rides the same dispatch as
 //       the kernel). Catches any flip that changes a (row, plane)
 //       population.

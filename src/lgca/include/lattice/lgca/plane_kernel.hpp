@@ -12,11 +12,12 @@
 // (docs/PERFORMANCE.md has the cost model).
 //
 // The word width is ISA-dispatched at runtime (plane_simd.hpp): the
-// same boolean algebra runs on 64-bit scalar words, 256-bit AVX2
-// vectors (4 words per op), or 512-bit AVX-512 vectors (8 words per
-// op). All variants are bit-identical; the scalar path is always
-// compiled in and handles the remainder + masked tail word even when a
-// vector path runs the bulk.
+// boolean algebra is written once (src/lgca/src/plane_span.inc) over a
+// word type and runs on 64-bit scalar words, 256-bit AVX2 vectors (4
+// words per op), or 512-bit AVX-512 vectors (8 words per op). All
+// variants are bit-identical; the scalar path is always compiled in
+// and handles the remainder + masked tail word even when a vector path
+// runs the bulk.
 //
 // The runners declared here (and the tiled ones in temporal_tile.hpp)
 // are instances of the one band/trapezoid scheduler

@@ -1,13 +1,14 @@
 // Runtime SIMD dispatch for the bit-plane span kernels.
 //
 // PlaneKernel's inner loops — funnel-shift gather plus boolean-algebra
-// collision over whole words — exist in three ISA variants: the
-// portable 64-bit scalar form, an AVX2 form (256 sites per vector op)
-// and an AVX-512 form (512 sites per vector op). All three compute the
-// same function bit-for-bit; the vector forms simply run 4 or 8 lattice
-// words per instruction and fall back to the scalar span for the
-// masked tail word and any sub-vector remainder, so odd widths and
-// guard-halo handling never depend on the ISA.
+// collision over whole words — are written once (src/lgca/src/
+// plane_span.inc) over a word type and compiled at three widths: the
+// portable 64-bit scalar word, an AVX2 vector (256 sites per op) and an
+// AVX-512 vector (512 sites per op). All three compute the same
+// function bit-for-bit; the vector instances run 4 or 8 lattice words
+// per instruction and hand the masked tail word and any sub-vector
+// remainder to the scalar instance, so odd widths and guard-halo
+// handling never depend on the ISA.
 //
 // Which variants exist in a binary is a build-time fact (the
 // LATTICE_SIMD CMake option; vector TUs are compiled with -mavx2 /
@@ -53,9 +54,10 @@ using FhpSpanFn = void (*)(const std::uint64_t* const src[6],
 /// Population count over `n` consecutive words. The fault detectors'
 /// per-plane particle ledgers (docs/ROBUSTNESS.md) popcount every
 /// written plane row once per generation, so this rides the same
-/// dispatch: scalar uses the hardware popcnt via the builtin, the
-/// vector variants count 4 words per op with the pshufb nibble-LUT +
-/// psadbw reduction. All variants return identical sums.
+/// dispatch: one word at a time through __builtin_popcountll, which the
+/// vector TUs' ISA flags turn into the popcnt instruction and the
+/// baseline build into a libgcc call. All variants return identical
+/// sums.
 using PopcountFn = std::uint64_t (*)(const std::uint64_t* words,
                                      std::int64_t n);
 

@@ -106,15 +106,21 @@ void CollisionLut::row_core(SiteLattice& next, std::int64_t dst_y,
   const std::int64_t fast0 = std::max<std::int64_t>(x0, 1);
   const std::int64_t fast1 = std::min<std::int64_t>(x1, w - 1);
   for (std::int64_t x = x0; x < std::min(fast0, x1); ++x) slow(x);
-  for (std::int64_t x = fast0; x < fast1; ++x) {
-    Site in = 0;
-    for (int i = 0; i < n; ++i) {
-      const Tap tap = taps[static_cast<std::size_t>(i)];
-      const Site* row = rows[tap.dy + 1];
-      if (row != nullptr) in |= static_cast<Site>(row[x + tap.dx] & tap.bit);
+  for (std::int64_t x = fast0; x < fast1;) {
+    // Chirality is defined a 64-site word at a time: one hash per word,
+    // and site x reads bit x & 63 (exactly GasModel::chirality).
+    const std::uint64_t chir = GasModel::chirality_word(x >> 6, sem_y, t);
+    const std::int64_t word_end = std::min(fast1, (x | 63) + 1);
+    for (; x < word_end; ++x) {
+      Site in = 0;
+      for (int i = 0; i < n; ++i) {
+        const Tap tap = taps[static_cast<std::size_t>(i)];
+        const Site* row = rows[tap.dy + 1];
+        if (row != nullptr) in |= static_cast<Site>(row[x + tap.dx] & tap.bit);
+      }
+      in |= static_cast<Site>(rows[1][x] & center_mask_);
+      out[x] = collide(in, static_cast<int>((chir >> (x & 63)) & 1));
     }
-    in |= static_cast<Site>(rows[1][x] & center_mask_);
-    out[x] = collide(in, GasModel::chirality(x, sem_y, t));
   }
   for (std::int64_t x = std::max(fast1, x0); x < x1; ++x) slow(x);
 }

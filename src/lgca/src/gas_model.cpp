@@ -59,6 +59,7 @@ const GasModel& GasModel::get(GasKind kind) {
       return fhp3;
   }
   LATTICE_ASSERT(false, "unknown GasKind");
+  return fhp2;  // unreachable
 }
 
 GasModel::GasModel(GasKind kind)

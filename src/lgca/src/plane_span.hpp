@@ -1,10 +1,11 @@
 // Internal declarations shared by the span-kernel translation units.
 //
-// The scalar spans are the semantic definition every vector variant
-// must match bit-for-bit; they also finish the tail of every vector
-// span (the masked last word plus any sub-vector remainder), so the
-// vector TUs link against them. The per-ISA getters return nullptr
-// when the variant was not compiled in (see LATTICE_SIMD in
+// The spans are written once, in plane_span.inc, and each TU includes
+// it at its own word width. The scalar TU exports the masked per-word
+// loops below: every instance, the scalar one included, hands them the
+// masked last word of a row plus any sub-vector remainder, so the
+// vector TUs link against them. The per-ISA getters are only defined
+// when the variant was compiled in (see LATTICE_SIMD in
 // src/lgca/CMakeLists.txt) — plane_simd.cpp turns that plus runtime
 // CPU detection into the public dispatch table.
 
