@@ -13,9 +13,10 @@
 //
 // The measured half runs the d = 3 schedule for real: a k-ladder of
 // temporal-blocking depths over a DRAM-resident cubic-gas volume on
-// the scalar64 bit-plane kernel (lgca3d::plane_gas_run_tiled3), every
-// rung bit-exact against the untiled sweep, plus a thread ladder on
-// the untiled rung so 3-D z-slab band scaling is gated monotone.
+// the bit-plane kernel (lgca3d::plane_gas_run_tiled3) at the
+// dispatched SIMD level, every rung bit-exact against the untiled
+// sweep, plus a thread ladder on the untiled rung so 3-D z-slab band
+// scaling is gated monotone.
 //
 // The table is persisted to BENCH_dimensionality.json; CI runs this
 // binary with LATTICE_BENCH_QUICK=1 and gates the measured rows with
@@ -35,6 +36,7 @@
 
 #include "lattice/arch/design_space.hpp"
 #include "lattice/core/tile_plan.hpp"
+#include "lattice/lgca/plane_simd.hpp"
 #include "lattice/lgca3d/lattice3.hpp"
 #include "lattice/lgca3d/pipeline3.hpp"
 #include "lattice/lgca3d/plane_kernel3.hpp"
@@ -355,11 +357,12 @@ bool print_ladder(std::vector<Row>& rows, std::vector<Row>& thread_rows) {
       return best;
     };
 
+    const char* simd = lgca::to_string(lgca::plane_simd_active());
     auto emit = [&](const core::TilePlan& plan, unsigned threads,
                     double best, double rate, double speedup, bool exact) {
       auto& target = threads == 1 ? rows : thread_rows;
       target.push_back(Row{shape.side, shape.side, shape.side, shape.gens,
-                           plan.depth, plan.tile_rows, "scalar64", threads,
+                           plan.depth, plan.tile_rows, simd, threads,
                            best, rate, speedup, exact});
       std::printf(
           "  %-12s %5lld %3lld %6lld %6lld %3u %10.3f %12.3e %8.2fx %7s\n",

@@ -57,8 +57,9 @@ enum class Backend {
               // off-chip on an external memory channel
   Reference3, // golden gather-and-collide updater for the cubic 3-D
               // gas (Config::depth z-planes; custom rules rejected)
-  BitPlane3,  // multi-spin coded 3-D backend: z-slab banding, scalar64
-              // boolean-algebra collisions of the cubic gas
+  BitPlane3,  // multi-spin coded 3-D backend: z-slab banding,
+              // boolean-algebra collisions of the cubic gas at the
+              // dispatched SIMD width
 };
 
 /// Whether `backend` runs the cubic 3-D gas over a {nx, ny, nz} volume

@@ -233,12 +233,17 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
     if (after == before) {
       generation_ += chunk;
       attempts = 0;
-      if (interval_ < config_.checkpoint_interval) {
-        interval_ = std::min(config_.checkpoint_interval, interval_ * 2);
-      }
+      // The snapshot test uses the interval this pass ran at. Regrowing
+      // first would let a clean pass at a shrunken interval go
+      // unsnapshotted, and the next, longer pass — which a fault that
+      // only deeper passes reach fails again — would roll it back with
+      // a fresh retry budget, forever.
       if (generation_ - ckpt.generation >= interval_ &&
           generation_ < target) {
         snapshot();
+      }
+      if (interval_ < config_.checkpoint_interval) {
+        interval_ = std::min(config_.checkpoint_interval, interval_ * 2);
       }
       continue;
     }

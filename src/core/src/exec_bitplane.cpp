@@ -50,19 +50,14 @@ class BitPlaneExec final : public BackendExec {
                                          config.tile_generations)) {
     if (injector_ != nullptr) guard_.emplace(*injector_);
     // Surface which span variant this backend runs (a profile can't
-    // tell 64-bit from 512-bit words from timings alone): the 2-D
-    // dispatch level, or the 3-D spans' scalar64 (plane_kernel3.hpp).
-    if (kernel_ != nullptr) {
-      static const obs::MetricsRegistry::Id simd_id =
-          obs::gauge_id("bitplane.simd_bits");
-      obs::gauge_set(
-          simd_id,
-          lgca::plane_span_ops(lgca::plane_simd_active()).width_bits);
-    } else {
-      static const obs::MetricsRegistry::Id simd3_id =
-          obs::gauge_id("bitplane3.simd_bits");
-      obs::gauge_set(simd3_id, 64);
-    }
+    // tell 64-bit from 512-bit words from timings alone): the dispatch
+    // level, which the 2-D and the 3-D spans share.
+    static const obs::MetricsRegistry::Id simd_id =
+        obs::gauge_id("bitplane.simd_bits");
+    static const obs::MetricsRegistry::Id simd3_id =
+        obs::gauge_id("bitplane3.simd_bits");
+    obs::gauge_set(kernel_ != nullptr ? simd_id : simd3_id,
+                   lgca::plane_span_ops(lgca::plane_simd_active()).width_bits);
   }
 
   std::int64_t max_chunk(std::int64_t remaining) const noexcept override {

@@ -19,6 +19,18 @@
 // and handles the remainder + masked tail word even when a vector path
 // runs the bulk.
 //
+// The span covers rows two ways, and the shape alone picks which. A
+// row of at least PlaneLattice::kRowPad payload words is a row span,
+// swept in column tiles. A band of compact rows (fewer words, stored
+// at stride words + 2) is one flat run: every row whose taps stay
+// inside the lattice — all but its first and last row — in one span
+// call over payload and guard words alike, tap (dx, dy) an offset
+// dy · stride plus the funnel shift, the guard words stored as zero,
+// and the hex diagonals' shift picked per word by row parity. Such a
+// band fills whole vector blocks where a one-word row would leave all
+// of itself to the scalar tail, and pays the span's setup once instead
+// of per row. The trapezoid tile step's window rows stay row spans.
+//
 // The runners declared here (and the tiled ones in temporal_tile.hpp)
 // are instances of the one band/trapezoid scheduler
 // (lattice/lgca/scheduler.hpp) with a row as the unit; the 3-D runners
@@ -50,6 +62,7 @@
 namespace lattice::lgca {
 
 struct PlaneSpanOps;
+struct SpanRun;
 
 /// Grain floor for the band scheduler: a row band must own at least
 /// this many payload words of one plane per generation, or the planner
@@ -101,15 +114,16 @@ class PlaneKernel {
   /// Compute generation-(t+1) rows [y0, y1) of `next` from the
   /// generation-t lattice `cur`, whose shift halo must have been
   /// prepared for halo_planes() (PlaneLattice::prepare_shift_halo),
-  /// and whose static planes must have been primed. Column-tiled so
-  /// the three source row strips plus the destination strip stay cache
-  /// resident on wide lattices; tile_words == 0 picks the default
-  /// L2-sized tile. On return the produced rows of `next` are
-  /// halo-ready for the following generation — the fill happens here,
-  /// band-locally and cache-hot, rather than as a serial full-lattice
-  /// walk between generations. Runs at the process-wide active SIMD
-  /// level (plane_simd_active). Bit-identical to GasRule::apply per
-  /// site.
+  /// and whose static planes must have been primed. Wide rows are
+  /// column-tiled so the three source row strips plus the destination
+  /// strip stay cache resident; tile_words == 0 picks the default
+  /// L2-sized tile. Compact rows run as one flat run (the header
+  /// comment), which tile_words does not split. On return the produced
+  /// rows of `next` are halo-ready for the following generation — the
+  /// fill happens here, band-locally and cache-hot, rather than as a
+  /// serial full-lattice walk between generations. Runs at the
+  /// process-wide active SIMD level (plane_simd_active). Bit-identical
+  /// to GasRule::apply per site.
   void update_rows(PlaneLattice& next, const PlaneLattice& cur,
                    std::int64_t t, std::int64_t y0, std::int64_t y1,
                    std::int64_t tile_words = 0) const;
@@ -139,6 +153,14 @@ class PlaneKernel {
                        std::int64_t sem_y, const PlaneSpanOps& ops,
                        std::int64_t t, std::int64_t k0,
                        std::int64_t k1) const;
+  void update_run(PlaneLattice& next, const PlaneLattice& cur,
+                  const PlaneSpanOps& ops, std::int64_t t, std::int64_t y0,
+                  std::int64_t y1) const;
+  SpanRun span_run(PlaneLattice& next, std::int64_t dst_y,
+                   const PlaneLattice& cur, std::int64_t src_y,
+                   std::int64_t sem_y, std::int64_t t,
+                   std::int64_t rows) const;
+  void span(const PlaneSpanOps& ops, const SpanRun& run) const;
 
   /// One gather tap per channel: channel i collects from the source row
   /// y + dy shifted by dx (the offset of the opposite-direction

@@ -33,6 +33,10 @@
 // footprint: it is stored compactly at stride words + 2, one guard
 // word on each side, still distinct from its neighbors' guards (a
 // 64-wide row takes 3 words where the aligned stride would take 16).
+// A plane's compact rows are then one dense word array, row y + dy at
+// a fixed offset dy · stride from row y, which is how PlaneKernel runs
+// a band of them as one flat range of words (CAM-8's view of a
+// bit-field: a neighbour shift is an offset into the array).
 
 #pragma once
 

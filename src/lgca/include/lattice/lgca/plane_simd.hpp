@@ -1,14 +1,18 @@
 // Runtime SIMD dispatch for the bit-plane span kernels.
 //
-// PlaneKernel's inner loops — funnel-shift gather plus boolean-algebra
-// collision over whole words — are written once (src/lgca/src/
-// plane_span.inc) over a word type and compiled at three widths: the
-// portable 64-bit scalar word, an AVX2 vector (256 sites per op) and an
-// AVX-512 vector (512 sites per op). All three compute the same
-// function bit-for-bit; the vector instances run 4 or 8 lattice words
-// per instruction and hand the masked tail word and any sub-vector
-// remainder to the scalar instance, so odd widths and guard-halo
-// handling never depend on the ISA.
+// The plane kernels' inner loops — funnel-shift gather plus boolean-
+// algebra collision over whole words, for the 2-D gases (PlaneKernel)
+// and the cubic 3-D gas (lgca3d::PlaneKernel3) — are written once
+// (src/lgca/src/plane_span.inc) over a word type and compiled at three
+// widths: the portable 64-bit scalar word, an AVX2 vector (256 sites
+// per op) and an AVX-512 vector (512 sites per op). All three compute
+// the same function bit-for-bit. A span covers one row (a row span) or
+// a band of compact rows as one flat range of words, guard words
+// included (a flat run; SpanRun below). The vector instances run 4 or
+// 8 lattice words per instruction and hand a row's masked tail word
+// and any sub-vector remainder, or a run shorter than one vector, to
+// the scalar instance, so odd widths and guard-halo handling never
+// depend on the ISA.
 //
 // Which variants exist in a binary is a build-time fact (the
 // LATTICE_SIMD CMake option; vector TUs are compiled with -mavx2 /
@@ -34,22 +38,50 @@ enum class SimdLevel : int {
 
 const char* to_string(SimdLevel level) noexcept;
 
-/// Span kernels: compute words [k0, k1) of one destination row from
-/// gathered source rows (see PlaneKernel). `last_word`/`tail_mask`
-/// identify the row's masked final payload word. HPP has no rest
-/// plane and no chirality; FHP takes the rest row plus (y, t) for the
-/// per-word chirality hash.
-using HppSpanFn = void (*)(const std::uint64_t* const src[6],
-                           const int dx[6], const std::uint64_t* obst,
-                           std::uint64_t* const out[8], std::int64_t k0,
-                           std::int64_t k1, std::int64_t last_word,
-                           std::uint64_t tail_mask);
-using FhpSpanFn = void (*)(const std::uint64_t* const src[6],
-                           const int dx[6], const std::uint64_t* rest,
-                           const std::uint64_t* obst,
-                           std::uint64_t* const out[8], std::int64_t k0,
-                           std::int64_t k1, std::int64_t y, std::int64_t t,
-                           std::int64_t last_word, std::uint64_t tail_mask);
+/// Longest row stride a flat run may have: compact rows (fewer than
+/// PlaneLattice::kRowPad payload words) sit at stride words + 2 <= 9.
+/// Bounds the span's per-position scratch, which lives on its stack.
+inline constexpr std::int64_t kMaxRunStride = 9;
+
+/// The work of one span call: `rows` consecutive rows of a plane
+/// lattice, row r of every plane `stride` words after row r - 1.
+///
+///   rows == 1   a row span: words [k0, k1) of one row of any layout
+///               (the column tiles of a wide row, the lattice's edge
+///               rows, a trapezoid tile's window rows);
+///   rows  > 1   a flat run over compact rows (stride <=
+///               kMaxRunStride): the (rows - 1) * stride + words word
+///               positions from row 0's word 0 to the last row's last
+///               word, the guard words between rows included. Those
+///               guards are computed like payload and stored as zero,
+///               as the tail bits are, so the caller's halo fill
+///               finds them as a row span leaves them.
+///
+/// Channel i gathers from src[i] + position shifted by dx[y & 1][i],
+/// where y is the semantic row (the cubic gas ignores dx: its ±x
+/// shifts are fixed by its channel order); a tap's row offset (dy, or a
+/// 3-D dz plane) is folded into src[i], so in a flat run it is one
+/// offset for every row. HPP reads neither `rest` nor the chirality;
+/// FHP-I never loads `rest`; the cubic gas reads no `rest` and writes
+/// out[0..5] only. (y, z, t) are row 0's semantic coordinates, z = 0
+/// in 2-D: they key the per-word chirality hash of every gas that has
+/// one.
+struct SpanRun {
+  const std::uint64_t* src[6];  // gather source of each channel, row 0
+  const std::uint64_t* rest;    // rest plane, row 0
+  const std::uint64_t* obst;    // obstacle plane, row 0
+  std::uint64_t* out[8];        // destination planes, row 0
+  int dx[2][6];                 // column shift per [row parity][channel]
+  std::int64_t rows;
+  std::int64_t stride;
+  std::int64_t words;           // payload words per row
+  std::uint64_t tail_mask;      // valid bits of a row's last word
+  std::int64_t k0, k1;          // a row span's word range
+  std::int64_t y, z, t;
+};
+
+/// A gas's span kernel over one SpanRun.
+using SpanFn = void (*)(const SpanRun& run);
 
 /// Population count over `n` consecutive words. The fault detectors'
 /// per-plane particle ledgers (docs/ROBUSTNESS.md) popcount every
@@ -67,9 +99,10 @@ using PopcountFn = std::uint64_t (*)(const std::uint64_t* words,
 struct PlaneSpanOps {
   const char* name;  // "scalar64" | "avx2" | "avx512"
   int width_bits;    // sites per vector op: 64 | 256 | 512
-  HppSpanFn hpp;
-  FhpSpanFn fhp1;  // FHP-I: rest plane never gathered
-  FhpSpanFn fhp2;  // FHP-II: rest rules live
+  SpanFn hpp;
+  SpanFn fhp1;   // FHP-I: rest plane never gathered
+  SpanFn fhp2;   // FHP-II: rest rules live
+  SpanFn cubic;  // the 3-D six-velocity gas (lgca3d::PlaneKernel3)
   PopcountFn popcount;
 };
 

@@ -10,6 +10,9 @@
 
 namespace lattice::lgca {
 
+static_assert(PlaneLattice::kRowPad + 1 == kMaxRunStride,
+              "a compact row's stride is at most words + 2 = kRowPad + 1");
+
 namespace {
 
 // Planes 0..5 are the moving channels; these two carry the center bits.
@@ -29,6 +32,14 @@ PlaneKernel::PlaneKernel(GasKind kind)
           static_cast<std::int8_t>(o.dx), static_cast<std::int8_t>(o.dy)};
       if (o.dx != 0) halo_ |= 1u << i;
     }
+  }
+  // A flat run folds each tap's row offset into its source pointer, so
+  // the offset must not depend on the row's parity (only the hex
+  // diagonals' column shift does).
+  for (int i = 0; i < channels_; ++i) {
+    LATTICE_ASSERT(taps_[0][static_cast<std::size_t>(i)].dy ==
+                       taps_[1][static_cast<std::size_t>(i)].dy,
+                   "PlaneKernel taps: row offset depends on parity");
   }
   written_ = (1u << channels_) - 1u;
   if (kind == GasKind::FHP_II) written_ |= 1u << kRestPlane;
@@ -68,49 +79,75 @@ const PlaneKernel* PlaneKernel::try_get(const Rule& rule) {
 // The shared row core. `sem_y` is the semantic lattice row: it selects
 // the hex-parity tap set and feeds the chirality hash, while `src_y` /
 // `dst_y` are storage rows in `cur` / `next` — identical in the plain
-// sweep, offset in the temporal-tile scratch strips. Source rows
-// resolve against cur's own height/boundary, so a Null-boundary scratch
-// strip whose storage range is clamped to the real lattice edge reads
-// the same zero rows the golden updater would.
+// sweep, offset in the temporal-tile scratch strips.
 void PlaneKernel::update_row_span(PlaneLattice& next, std::int64_t dst_y,
                                   const PlaneLattice& cur, std::int64_t src_y,
                                   std::int64_t sem_y, const PlaneSpanOps& ops,
                                   std::int64_t t, std::int64_t k0,
                                   std::int64_t k1) const {
-  const Extent e = cur.extent();
+  SpanRun run = span_run(next, dst_y, cur, src_y, sem_y, t, 1);
+  run.k0 = k0;
+  run.k1 = k1;
+  span(ops, run);
+}
+
+// Rows [y0, y1) of a compact lattice as one flat run. Every tap row
+// y + dy must lie inside the lattice, so its offset from row y is one
+// stride multiple for the whole run.
+void PlaneKernel::update_run(PlaneLattice& next, const PlaneLattice& cur,
+                             const PlaneSpanOps& ops, std::int64_t t,
+                             std::int64_t y0, std::int64_t y1) const {
+  LATTICE_ASSERT(y0 >= 1 && y1 < cur.extent().height &&
+                     cur.row_stride() <= kMaxRunStride,
+                 "update_run: rows outside the flat offsets' reach");
+  SpanRun run = span_run(next, y0, cur, y0, y0, t, y1 - y0);
+  run.k1 = cur.words_per_row();
+  span(ops, run);
+}
+
+// The span of `rows` rows from storage row src_y of `cur` into row
+// dst_y of `next`, whose first row is semantic row sem_y. Tap rows
+// resolve against cur's own height and boundary (wrapped, or the zero
+// row under Null), so a Null-boundary scratch strip whose storage
+// range is clamped to the real lattice edge reads the same zero rows
+// the golden updater would; a flat run's taps never leave the lattice.
+SpanRun PlaneKernel::span_run(PlaneLattice& next, std::int64_t dst_y,
+                              const PlaneLattice& cur, std::int64_t src_y,
+                              std::int64_t sem_y, std::int64_t t,
+                              std::int64_t rows) const {
+  const std::int64_t height = cur.extent().height;
   const bool periodic = cur.boundary() == Boundary::Periodic;
-  const auto& taps = taps_[(sem_y & 1) ? 1 : 0];
-  const std::uint64_t* src[6] = {};
-  int dx[6] = {};
+  SpanRun run{};
   for (int i = 0; i < channels_; ++i) {
-    const Tap tap = taps[static_cast<std::size_t>(i)];
-    dx[i] = tap.dx;
-    std::int64_t ny = src_y + tap.dy;
-    if (ny < 0 || ny >= e.height) {
-      if (!periodic) {
-        src[i] = cur.zero_row();
-        continue;
-      }
-      ny = wrap(ny, e.height);
+    const auto c = static_cast<std::size_t>(i);
+    run.dx[0][i] = taps_[0][c].dx;
+    run.dx[1][i] = taps_[1][c].dx;
+    const std::int64_t ny = src_y + taps_[0][c].dy;
+    if (ny >= 0 && ny < height) {
+      run.src[i] = cur.row(i, ny);
+    } else {
+      run.src[i] = periodic ? cur.row(i, wrap(ny, height)) : cur.zero_row();
     }
-    src[i] = cur.row(i, ny);
   }
-  const std::uint64_t* rest = cur.row(kRestPlane, src_y);
-  const std::uint64_t* obst = cur.row(kObstaclePlane, src_y);
-  std::uint64_t* out[PlaneLattice::kPlanes];
-  for (int p = 0; p < PlaneLattice::kPlanes; ++p) out[p] = next.row(p, dst_y);
-  const std::int64_t last = cur.words_per_row() - 1;
-  const std::uint64_t tail = cur.tail_mask();
+  run.rest = cur.row(kRestPlane, src_y);
+  run.obst = cur.row(kObstaclePlane, src_y);
+  for (int p = 0; p < PlaneLattice::kPlanes; ++p) {
+    run.out[p] = next.row(p, dst_y);
+  }
+  run.rows = rows;
+  run.stride = cur.row_stride();
+  run.words = cur.words_per_row();
+  run.tail_mask = cur.tail_mask();
+  run.y = sem_y;
+  run.t = t;
+  return run;
+}
+
+void PlaneKernel::span(const PlaneSpanOps& ops, const SpanRun& run) const {
   switch (model_->kind()) {
-    case GasKind::HPP:
-      ops.hpp(src, dx, obst, out, k0, k1, last, tail);
-      break;
-    case GasKind::FHP_I:
-      ops.fhp1(src, dx, rest, obst, out, k0, k1, sem_y, t, last, tail);
-      break;
-    case GasKind::FHP_II:
-      ops.fhp2(src, dx, rest, obst, out, k0, k1, sem_y, t, last, tail);
-      break;
+    case GasKind::HPP: ops.hpp(run); break;
+    case GasKind::FHP_I: ops.fhp1(run); break;
+    case GasKind::FHP_II: ops.fhp2(run); break;
     case GasKind::FHP_III:
       LATTICE_ASSERT(false, "PlaneKernel cannot run FHP-III");
   }
@@ -145,14 +182,32 @@ void PlaneKernel::update_rows(PlaneLattice& next, const PlaneLattice& cur,
   // ISA-resolved function pointers (scalar / AVX2 / AVX-512, all
   // bit-identical — see plane_simd.hpp).
   const PlaneSpanOps& ops = plane_span_ops(plane_simd_active());
-  // Default tile: 4 row strips (3 source + 1 destination) × 8 planes ×
-  // 1024 words × 8 B ≈ 256 KiB — sized for a typical L2, so wide
-  // lattices are swept in cache-resident column strips.
-  const std::int64_t tile = tile_words > 0 ? tile_words : 1024;
-  for (std::int64_t kk = 0; kk < words; kk += tile) {
-    const std::int64_t kend = std::min(words, kk + tile);
-    for (std::int64_t y = y0; y < y1; ++y) {
-      update_row_span(next, y, cur, y, y, ops, t, kk, kend);
+  if (words < PlaneLattice::kRowPad) {
+    // Compact rows are shorter than one vector block, so a row span
+    // would leave them all to the scalar tail and pay its setup per
+    // row. Their band is instead one flat run: every row whose taps
+    // stay inside the lattice (all but its first and last row) in one
+    // span call, at full vector width over payload and guard words.
+    const std::int64_t ya = std::max<std::int64_t>(y0, 1);
+    const std::int64_t yb =
+        std::max(ya, std::min(y1, cur.extent().height - 1));
+    for (std::int64_t y = y0; y < ya; ++y) {
+      update_row_span(next, y, cur, y, y, ops, t, 0, words);
+    }
+    if (ya < yb) update_run(next, cur, ops, t, ya, yb);
+    for (std::int64_t y = yb; y < y1; ++y) {
+      update_row_span(next, y, cur, y, y, ops, t, 0, words);
+    }
+  } else {
+    // Default tile: 4 row strips (3 source + 1 destination) × 8 planes ×
+    // 1024 words × 8 B ≈ 256 KiB — sized for a typical L2, so wide
+    // lattices are swept in cache-resident column strips.
+    const std::int64_t tile = tile_words > 0 ? tile_words : 1024;
+    for (std::int64_t kk = 0; kk < words; kk += tile) {
+      const std::int64_t kend = std::min(words, kk + tile);
+      for (std::int64_t y = y0; y < y1; ++y) {
+        update_row_span(next, y, cur, y, y, ops, t, kk, kend);
+      }
     }
   }
   // Leave the produced rows halo-ready for the next generation. Doing

@@ -184,31 +184,48 @@ void PlaneLattice::prepare_shift_halo() {
 
 void PlaneLattice::prepare_shift_halo(std::uint32_t plane_mask,
                                       std::int64_t y0, std::int64_t y1) {
-  if (words_ == 0) return;
-  const std::int64_t w = extent_.width;
-  const int r = static_cast<int>(w % kWordBits);
-  // Bit position of site width-1 inside the last payload word.
-  const int hi = static_cast<int>((w - 1) % kWordBits);
+  if (words_ == 0 || y0 >= y1) return;
+  const std::int64_t last = words_ - 1;
+  const std::uint64_t tail = tail_mask_;
+  // Periodic: tail bits of the last word continue with the row's first
+  // sites, the left guard presents site width-1 at bit 63 (only that
+  // bit is ever shifted in), the right guard presents site 0 at bit 0.
+  // The defensive tail masks make this idempotent. The row-independent
+  // choices are made once here, so each row's fill below is straight-
+  // line code: a one-word row's first sites sit in its masked last
+  // word, and a row without tail bits (r = 0) has nothing to wrap.
+  const int r = static_cast<int>(extent_.width % kWordBits);
+  const int lshift = 63 - static_cast<int>((extent_.width - 1) % kWordBits);
+  const std::uint64_t first_mask = words_ == 1 ? tail : ~std::uint64_t{0};
+  const std::int64_t rows = y1 - y0;
   for (int p = 0; p < kPlanes; ++p) {
     if (((plane_mask >> p) & 1u) == 0) continue;
-    for (std::int64_t y = y0; y < y1; ++y) {
-      std::uint64_t* rp = row(p, y);
-      if (boundary_ == Boundary::Null) {
+    std::uint64_t* const base = row(p, y0);
+    if (boundary_ == Boundary::Null) {
+      for (std::int64_t i = 0; i < rows; ++i) {
+        std::uint64_t* const rp = base + i * stride_;
         rp[-1] = 0;
         rp[words_] = 0;
-        rp[words_ - 1] &= tail_mask_;
-        continue;
+        rp[last] &= tail;
       }
-      // Periodic: tail bits of the last word continue with the row's
-      // first sites, the left guard presents site width-1 at bit 63
-      // (only that bit is ever shifted in), the right guard presents
-      // site 0 at bit 0. The defensive tail mask makes this idempotent.
-      const std::uint64_t first =
-          words_ == 1 ? rp[0] & tail_mask_ : rp[0];
-      const std::uint64_t last = rp[words_ - 1] & tail_mask_;
-      if (r != 0) rp[words_ - 1] = last | (first << r);
+      continue;
+    }
+    if (r == 0) {
+      // Whole last word: nothing to mask or wrap, only guards to copy.
+      for (std::int64_t i = 0; i < rows; ++i) {
+        std::uint64_t* const rp = base + i * stride_;
+        rp[words_] = rp[0];
+        rp[-1] = rp[last];
+      }
+      continue;
+    }
+    for (std::int64_t i = 0; i < rows; ++i) {
+      std::uint64_t* const rp = base + i * stride_;
+      const std::uint64_t first = rp[0] & first_mask;
+      const std::uint64_t tail_word = rp[last] & tail;
+      rp[last] = tail_word | (first << r);
       rp[words_] = first;
-      rp[-1] = hi == 63 ? last : last << (63 - hi);
+      rp[-1] = tail_word << lshift;
     }
   }
 }

@@ -18,8 +18,9 @@ using W = __v4du;
 }  // namespace
 
 const PlaneSpanOps& plane_span_ops_avx2() noexcept {
-  static const PlaneSpanOps ops{"avx2", 256, &hpp_span, &fhp1_span,
-                                &fhp2_span, &popcount_words};
+  static const PlaneSpanOps ops{"avx2",       256,        &hpp_span,
+                                &fhp1_span,   &fhp2_span, &cubic_span,
+                                &popcount_words};
   return ops;
 }
 

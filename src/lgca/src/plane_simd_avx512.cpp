@@ -21,8 +21,9 @@ using W = __v8du;
 }  // namespace
 
 const PlaneSpanOps& plane_span_ops_avx512() noexcept {
-  static const PlaneSpanOps ops{"avx512", 512, &hpp_span, &fhp1_span,
-                                &fhp2_span, &popcount_words};
+  static const PlaneSpanOps ops{"avx512",       512,        &hpp_span,
+                                &fhp1_span,   &fhp2_span, &cubic_span,
+                                &popcount_words};
   return ops;
 }
 

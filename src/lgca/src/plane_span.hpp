@@ -3,7 +3,8 @@
 // The spans are written once, in plane_span.inc, and each TU includes
 // it at its own word width. The scalar TU exports the masked per-word
 // loops below: every instance, the scalar one included, hands them the
-// masked last word of a row plus any sub-vector remainder, so the
+// masked last word of a row plus any sub-vector remainder (and a vector
+// instance hands them a flat run shorter than one vector), so the
 // vector TUs link against them. The per-ISA getters are only defined
 // when the variant was compiled in (see LATTICE_SIMD in
 // src/lgca/CMakeLists.txt) — plane_simd.cpp turns that plus runtime
@@ -17,22 +18,13 @@
 
 namespace lattice::lgca::detail {
 
-void hpp_span_scalar(const std::uint64_t* const src[6], const int dx[6],
-                     const std::uint64_t* obst, std::uint64_t* const out[8],
-                     std::int64_t k0, std::int64_t k1, std::int64_t last_word,
-                     std::uint64_t tail_mask);
-
-void fhp1_span_scalar(const std::uint64_t* const src[6], const int dx[6],
-                      const std::uint64_t* rest, const std::uint64_t* obst,
-                      std::uint64_t* const out[8], std::int64_t k0,
-                      std::int64_t k1, std::int64_t y, std::int64_t t,
-                      std::int64_t last_word, std::uint64_t tail_mask);
-
-void fhp2_span_scalar(const std::uint64_t* const src[6], const int dx[6],
-                      const std::uint64_t* rest, const std::uint64_t* obst,
-                      std::uint64_t* const out[8], std::int64_t k0,
-                      std::int64_t k1, std::int64_t y, std::int64_t t,
-                      std::int64_t last_word, std::uint64_t tail_mask);
+/// The scalar instance's masked loops: words [from, run.k1) of a row
+/// span, every word masked (the row's last word by its tail mask), or
+/// the whole of a flat run when run.rows > 1.
+void hpp_span_scalar(const SpanRun& run, std::int64_t from);
+void fhp1_span_scalar(const SpanRun& run, std::int64_t from);
+void fhp2_span_scalar(const SpanRun& run, std::int64_t from);
+void cubic_span_scalar(const SpanRun& run, std::int64_t from);
 
 const PlaneSpanOps& plane_span_ops_scalar() noexcept;
 

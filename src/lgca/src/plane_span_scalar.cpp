@@ -1,9 +1,10 @@
 // Scalar (64-bit word) instance of the bit-plane spans
 // (plane_span.inc), and the masked last word of every instance: the
 // vector spans hand it, with any sub-vector remainder, to the
-// detail::*_span_scalar loops below. Every step is word algebra: even
-// the FHP chirality, the one stochastic input, arrives as a whole word
-// from GasModel::chirality_word.
+// detail::*_span_scalar loops below, and a flat run shorter than one
+// vector goes here whole. Every step is word algebra: even the
+// chirality, the one stochastic input, arrives as a whole word from
+// chirality_mix.
 
 #include "plane_span.hpp"
 
@@ -14,42 +15,53 @@ namespace lattice::lgca::detail {
 namespace {
 using W = std::uint64_t;
 #include "plane_span.inc"
+
+/// Words [from, k1) of a row span with every word masked, or the whole
+/// of a flat run.
+template <class Span, class Word>
+void masked_words(const SpanRun& run, std::int64_t from, Span whole,
+                  Word word) {
+  if (run.rows > 1) {
+    whole(run);
+  } else {
+    masked_row(run, 0, from, run.k1, word);
+  }
+}
+
 }  // namespace
 
-void hpp_span_scalar(const std::uint64_t* const src[6], const int dx[6],
-                     const std::uint64_t* obst, std::uint64_t* const out[8],
-                     std::int64_t k0, std::int64_t k1, std::int64_t last_word,
-                     std::uint64_t tail_mask) {
-  for (std::int64_t k = k0; k < k1; ++k) {
-    hpp_word(src, dx, obst, out, k, k == last_word ? tail_mask : ~W{});
-  }
+void hpp_span_scalar(const SpanRun& run, std::int64_t from) {
+  masked_words(run, from, hpp_span,
+               [](const RowTaps& taps, std::int64_t k, W m) {
+                 hpp_word(taps, k, m);
+               });
 }
 
-void fhp1_span_scalar(const std::uint64_t* const src[6], const int dx[6],
-                      const std::uint64_t* rest, const std::uint64_t* obst,
-                      std::uint64_t* const out[8], std::int64_t k0,
-                      std::int64_t k1, std::int64_t y, std::int64_t t,
-                      std::int64_t last_word, std::uint64_t tail_mask) {
-  for (std::int64_t k = k0; k < k1; ++k) {
-    fhp_word<false>(src, dx, rest, obst, out, k, y, t,
-                    k == last_word ? tail_mask : ~W{});
-  }
+void fhp1_span_scalar(const SpanRun& run, std::int64_t from) {
+  masked_words(run, from, fhp1_span,
+               [](const RowTaps& taps, std::int64_t k, W m) {
+                 fhp_word<false>(taps, k, m);
+               });
 }
 
-void fhp2_span_scalar(const std::uint64_t* const src[6], const int dx[6],
-                      const std::uint64_t* rest, const std::uint64_t* obst,
-                      std::uint64_t* const out[8], std::int64_t k0,
-                      std::int64_t k1, std::int64_t y, std::int64_t t,
-                      std::int64_t last_word, std::uint64_t tail_mask) {
-  for (std::int64_t k = k0; k < k1; ++k) {
-    fhp_word<true>(src, dx, rest, obst, out, k, y, t,
-                   k == last_word ? tail_mask : ~W{});
-  }
+void fhp2_span_scalar(const SpanRun& run, std::int64_t from) {
+  masked_words(run, from, fhp2_span,
+               [](const RowTaps& taps, std::int64_t k, W m) {
+                 fhp_word<true>(taps, k, m);
+               });
+}
+
+void cubic_span_scalar(const SpanRun& run, std::int64_t from) {
+  masked_words(run, from, cubic_span,
+               [](const RowTaps& taps, std::int64_t k, W m) {
+                 cubic_word(taps, k, m);
+               });
 }
 
 const PlaneSpanOps& plane_span_ops_scalar() noexcept {
-  static const PlaneSpanOps ops{"scalar64", 64, &hpp_span, &fhp1_span,
-                                &fhp2_span, &popcount_words};
+  static const PlaneSpanOps ops{"scalar64",  64,         &hpp_span,
+                                &fhp1_span,  &fhp2_span, &cubic_span,
+                                &popcount_words};
   return ops;
 }
 

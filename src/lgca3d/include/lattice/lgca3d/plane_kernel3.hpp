@@ -10,8 +10,8 @@
 //   pair-swap classes — a single mover on axis u plus a head-on pair
 //       on one other axis; the collision moves the pair to the third
 //       axis. Six size-2 classes, each its own inverse, so they are
-//       chirality-independent and evaluate word-parallel (the ex/ey/ez
-//       masks below).
+//       chirality-independent and evaluate word-parallel (cubic_word's
+//       ex/ey/ez masks).
 //   axis-cycle classes — the zero-momentum states whose axes each
 //       carry a full pair or nothing: {x, y, z} pairs (mass 2) and
 //       {xy, xz, yz} double-pairs (mass 4) each form a 3-cycle whose
@@ -26,15 +26,23 @@
 //
 // Obstacle sites bounce (each channel takes its opposite's gathered
 // bit), and the obstacle plane itself is static — primed once per run.
-// The spans here are scalar64 only. A vector span along x would not
-// run at the shapes that matter: a 192-wide row is 3 payload words,
-// short of one 4-word AVX2 or 8-word AVX-512 block. Because every
-// fault draw is keyed by global (x, y, z) through the flattened inner
-// lattice, scalar-only execution is bit-identical on every host no
-// matter which SIMD level the 2-D kernels dispatch to. Bit-identical
-// to lgca3d::reference_step per site, by construction, by a step that
-// meets every (state, obstacle, chirality) and by the parity matrix in
-// tests/test_plane_lattice3.cpp.
+// The algebra is one more word function of the 2-D span family
+// (cubic_word in src/lgca/src/plane_span.inc), reached through
+// PlaneSpanOps::cubic at the active SIMD level. A row never fills a
+// vector block at the shapes that matter (a 192-wide row is 3 payload
+// words), so the span runs across rows: a z-plane's compact rows are
+// one dense word range per plane, and its interior rows (all but y = 0
+// and y = ny - 1, whose ±y taps wrap or read zero) are one flat run —
+// the ±y taps an offset of ±stride, the ±z taps the same rows of the
+// neighbouring z-planes. Rows of 8 or more words, the y-edge rows and
+// every row of a z-edge plane under Null (whose missing neighbour
+// plane is a single zero row, not a plane) are row spans. Every fault
+// draw is keyed by global (x, y, z) through the flattened inner
+// lattice, so the run is bit-identical at every SIMD level. Bit-
+// identical to lgca3d::reference_step per site, by construction, by a
+// step that meets every (state, obstacle, chirality), by the parity
+// matrix in tests/test_plane_lattice3.cpp and by the level sweep in
+// tests/test_lgca3d.cpp.
 //
 // The runners below are instances of the one band/trapezoid scheduler
 // (lattice/lgca/scheduler.hpp) with the unit promoted from a row to a

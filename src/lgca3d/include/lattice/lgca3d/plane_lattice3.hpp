@@ -15,7 +15,9 @@
 // and halo machinery (prepare_shift_halo, guard semantics, payload
 // equality) are reused verbatim rather than reimplemented. The 3-D
 // structure lives entirely in the kernel's row addressing
-// (plane_kernel3.hpp).
+// (plane_kernel3.hpp). With compact rows a z-plane of one bit-plane is
+// ny rows at a fixed stride, one dense word range, so the kernel runs
+// its interior rows as a single flat run of the 2-D span family.
 
 #pragma once
 

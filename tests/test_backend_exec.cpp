@@ -402,11 +402,8 @@ TEST(HardwareCounters, FullAndRaggedPassesMatchPinnedRecords) {
 // 64-wide FHP-II lattice. The oracle rung is enabled so a stuck chip
 // the machine cannot remap out (WSA, WSA-E) still completes the run.
 // The chip sits at stage 0, which every pass runs through, tails
-// included. A chip deeper in the chain is missed by a one-generation
-// tail pass, and on WSA the guarded loop then commits the tail,
-// regrows its interval, fails the next deeper pass and rolls the tail
-// back, forever; that livelock is a known engine defect, not pinned
-// here.
+// included; GuardedLoop.DeepStuckChipStillCompletes below runs one
+// deeper in the chain.
 struct FaultPin {
   std::string_view machine;
   std::string_view plan;  // "flip" or "stuck"
@@ -419,15 +416,15 @@ struct FaultPin {
 };
 
 constexpr FaultPin kFaultPins[] = {
-    {"Wsa", "flip", 207, 301, 69, 0, 1, 63540},
+    {"Wsa", "flip", 173, 243, 60, 0, 0, 51386},
     {"Wsa", "stuck", 31192, 60, 60, 0, 14, 40644},
-    {"WsaE", "flip", 207, 301, 69, 0, 1, 126900},
+    {"WsaE", "flip", 173, 243, 60, 0, 0, 102650},
     {"WsaE", "stuck", 61964, 60, 60, 0, 14, 81220},
-    {"WsaESlow", "flip", 207, 301, 69, 0, 1, 507510},
+    {"WsaESlow", "flip", 173, 243, 60, 0, 0, 410526},
     {"WsaESlow", "stuck", 61964, 60, 60, 0, 14, 324820},
-    {"Spa1", "flip", 207, 301, 69, 0, 1, 13680},
+    {"Spa1", "flip", 173, 243, 60, 0, 0, 11118},
     {"Spa1", "stuck", 520, 8, 8, 1, 0, 2840},
-    {"Spa3", "flip", 207, 301, 69, 0, 1, 13680},
+    {"Spa3", "flip", 173, 243, 60, 0, 0, 11118},
     {"Spa3", "stuck", 520, 8, 8, 1, 0, 2840},
 };
 
@@ -463,6 +460,29 @@ TEST(HardwareCounters, ArmedRunsMatchPinnedRecoveryLedger) {
                     << r.oracle_passes << ", " << r.ticks << "},";
     }
   }
+}
+
+// A stuck chip at stage 1 is reached only by passes deeper than one
+// generation. The ladder shrinks the checkpoint interval to 1, and the
+// one-generation passes that follow run clean; each must be
+// snapshotted before the interval regrows, or the next two-generation
+// pass fails and rolls it back with a fresh retry budget, and
+// advance() never returns. ctest's TIMEOUT on this binary turns that
+// livelock into a failure.
+TEST(GuardedLoop, DeepStuckChipStillCompletes) {
+  LatticeEngine::Config c = pinned_config(machine("Wsa"), kFhp2, 64);
+  c.fault.seed = 3;
+  c.fault.stuck = {fault::StuckAt{1, 0, 0x01}};
+  c.oracle_fallback = true;
+  LatticeEngine e(c);
+  pinned_seed(e);
+  const EngineCheckpoint start = e.checkpoint();
+  advance_pinned(e);
+  EXPECT_EQ(e.generation(), 14);
+  EXPECT_TRUE(e.verify_against_reference(start));
+  const PerformanceReport r = e.report();
+  EXPECT_GT(r.faults_detected, 0);
+  EXPECT_GT(r.interval_shrinks, 0);
 }
 
 }  // namespace

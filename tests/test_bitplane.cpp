@@ -343,6 +343,89 @@ TEST_P(BitPlaneGasTest, VectorWidthsWithAwkwardTailsAgreeWithScalar) {
   }
 }
 
+TEST_P(BitPlaneGasTest, EveryWidthAgreesWithScalarAtEachLevel) {
+  // Every width 1–511 through the compact rows' flat runs (fewer than
+  // 8 payload words, up to width 448) and the row spans that take over
+  // at 449, each vector level against the scalar one, which runs a
+  // flat run's rows as row loops, over three generations. The interior
+  // run of 19 rows is 17 rows long, so its last chunk holds a single
+  // row at both vector widths and restarts earlier; that of 20 rows is
+  // 18 long, and at AVX-512 its last two rows restart three rows
+  // earlier, where the chunk must still start on row 0's parity. Three
+  // threads at grain 1 split the 19 rows into runs that start on
+  // either parity; odd widths start at an odd t0.
+  const GasRule rule(GetParam());
+  const PlaneKernel& kernel = PlaneKernel::get(GetParam());
+  const std::vector<SimdLevel> levels = supported_vector_levels();
+  if (levels.empty()) {
+    GTEST_SKIP() << "no vector SIMD level compiled+supported on this host";
+  }
+  for (std::int64_t width = 1; width <= 511; ++width) {
+    const Boundary b = width % 3 == 0 ? Boundary::Null : Boundary::Periodic;
+    const std::int64_t t0 = width;
+    for (const std::int64_t height : {19, 20}) {
+      const unsigned threads = height == 19 && width % 2 == 1 ? 3 : 1;
+      SiteLattice start({width, height}, b);
+      fill_random(start, rule.model(), 0.35,
+                  static_cast<std::uint64_t>(width * 64 + height), 0.2);
+      start.at({width / 2, 9}) = kObstacleBit;
+      SiteLattice want = start;
+      {
+        const ScopedSimdLevel pin(SimdLevel::Scalar);
+        bitplane_gas_run(want, kernel, 3, t0, threads, 1);
+      }
+      for (const SimdLevel level : levels) {
+        const ScopedSimdLevel pin(level);
+        SiteLattice got = start;
+        bitplane_gas_run(got, kernel, 3, t0, threads, 1);
+        ASSERT_TRUE(got == want)
+            << kind_name(GetParam()) << " " << width << "x" << height
+            << " level " << to_string(level)
+            << (b == Boundary::Null ? " null" : " periodic");
+      }
+    }
+  }
+}
+
+TEST_P(BitPlaneGasTest, FlatRunsMatchReferenceAtEachLevel) {
+  // The flat run's edge cases against the golden updater at every
+  // level: heights with no interior row (1, 2), a one-row run (3),
+  // short runs (4, 5) and a 64-row run (62 rows, several chunks);
+  // widths at one word, a word boundary, 7 words (the widest compact
+  // row) and 8; both boundaries with an obstacle; even and odd t0; one
+  // thread and three at band grain 1.
+  const GasRule rule(GetParam());
+  const PlaneKernel& kernel = PlaneKernel::get(GetParam());
+  for (const Boundary b : {Boundary::Null, Boundary::Periodic}) {
+    for (const std::int64_t height : {1, 2, 3, 4, 5, 64}) {
+      for (const std::int64_t width : {1, 63, 65, 448, 449}) {
+        for (const std::int64_t t0 : {0, 7}) {
+          SiteLattice start({width, height}, b);
+          fill_random(start, rule.model(), 0.35,
+                      static_cast<std::uint64_t>(width * 131 + height), 0.2);
+          start.at({width / 2, height / 2}) = kObstacleBit;
+          SiteLattice want = start;
+          reference_run(want, rule, 4, t0);
+          for (const SimdLevel level :
+               {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
+            if (!simd_supported(level)) continue;
+            const ScopedSimdLevel pin(level);
+            for (const unsigned threads : {1u, 3u}) {
+              SiteLattice got = start;
+              bitplane_gas_run(got, kernel, 4, t0, threads, 1);
+              ASSERT_TRUE(got == want)
+                  << kind_name(GetParam()) << " " << width << "x" << height
+                  << " t0 " << t0 << " threads " << threads << " level "
+                  << to_string(level)
+                  << (b == Boundary::Null ? " null" : " periodic");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(BitPlaneGasTest, MultiGenerationRunsMatchReferenceAtEachLevel) {
   // End-to-end (pack → N generations → unpack) against the semantic
   // oracle at every supported level, vector-engaging width.

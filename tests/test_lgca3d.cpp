@@ -11,7 +11,9 @@
 
 #include "lattice/common/rng.hpp"
 #include "lattice/lgca/gas_model.hpp"
+#include "lattice/lgca/plane_simd.hpp"
 #include "lattice/lgca3d/pipeline3.hpp"
+#include "lattice/lgca3d/plane_kernel3.hpp"
 
 namespace lattice::lgca3d {
 namespace {
@@ -347,6 +349,43 @@ TEST(Pipeline3, RejectsPeriodicInput) {
   Lattice3 in({4, 4, 4}, Boundary3::Periodic);
   Pipeline3 pipe({4, 4, 4}, 1);
   EXPECT_THROW((void)pipe.run(in), Error);
+}
+
+TEST(PlaneKernel3, EveryLevelMatchesTheGoldenUpdater) {
+  // The cubic gas's flat runs and row spans at every compiled and
+  // supported SIMD level against the golden updater: widths around
+  // the word and vector-block edges up to the widest compact row (448)
+  // and the first wide one (449); y extents with no interior row (1,
+  // 2), a one-row interior (3), a short run (5) and one long enough for
+  // a second chunk (19); depths whose z-edge planes are row spans under
+  // Null (all of them at nz <= 2); both boundaries, obstacles, an odd
+  // t0, and three z-slab bands at grain 1 for the deeper volumes.
+  for (const Boundary3 b : {Boundary3::Null, Boundary3::Periodic}) {
+    for (const std::int64_t nx : {1, 63, 64, 65, 192, 448, 449}) {
+      for (const std::int64_t ny : {1, 2, 3, 5, 19}) {
+        for (const std::int64_t nz : {1, 2, 3}) {
+          Lattice3 start({nx, ny, nz}, b);
+          fill_random(start, 0.3, static_cast<std::uint64_t>(nx * 31 + ny));
+          start.at({nx / 2, ny / 2, nz / 2}) = lgca::kObstacleBit;
+          start.at({0, ny - 1, 0}) = lgca::kObstacleBit;
+          Lattice3 want = start;
+          reference_run(want, 3, 5);
+          for (const lgca::SimdLevel level :
+               {lgca::SimdLevel::Scalar, lgca::SimdLevel::Avx2,
+                lgca::SimdLevel::Avx512}) {
+            if (!lgca::simd_supported(level)) continue;
+            const lgca::ScopedSimdLevel pin(level);
+            Lattice3 got = start;
+            bitplane_gas_run3(got, 3, 5, nz == 3 ? 3 : 1, 1);
+            ASSERT_TRUE(got == want)
+                << nx << "x" << ny << "x" << nz << " level "
+                << lgca::to_string(level)
+                << (b == Boundary3::Null ? " null" : " periodic");
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
