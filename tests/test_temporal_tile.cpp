@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "lattice/lgca/plane_simd.hpp"
 #include "lattice/lgca/reference.hpp"
 #include "lattice/lgca/temporal_tile.hpp"
+#include "lattice/lgca3d/plane_kernel3.hpp"
+#include "lattice/obs/metrics.hpp"
 
 namespace lattice::lgca {
 namespace {
@@ -168,6 +171,164 @@ TEST(TemporalTileFused, InfeasibleTilingFallsBackToPlainSweep) {
   // tile_rows = height: one tile, infeasible, must still be exact.
   fused_gas_run_tiled(got, lut, 5, 0, 2, {3, 12});
   EXPECT_TRUE(got == want);
+}
+
+// ---- the hook protocol every plane runner keeps ----
+
+/// Counts every hook call per (generation, flat row): how often
+/// before_rows covered a row at generation t, and after_rows likewise.
+/// Calls may arrive concurrently from the run's lanes.
+class RecordingHooks final : public PlaneRunHooks {
+ public:
+  RecordingHooks(std::int64_t rows, std::int64_t t0, std::int64_t gens)
+      : rows_(rows), t0_(t0), gens_(gens),
+        before_(static_cast<std::size_t>(rows * gens), 0),
+        after_(static_cast<std::size_t>(rows * gens), 0) {}
+
+  void run_begin(PlaneLattice& lat, std::uint32_t, std::uint32_t,
+                 std::int64_t t0) override {
+    const std::lock_guard<std::mutex> lk(mu_);
+    ++run_begins;
+    EXPECT_EQ(lat.extent().height, rows_);
+    EXPECT_EQ(t0, t0_);
+  }
+  void before_rows(PlaneLattice&, std::int64_t t, std::int64_t y0,
+                   std::int64_t y1) override {
+    mark(before_, t, y0, y1);
+  }
+  void after_rows(const PlaneLattice&, std::int64_t t, std::int64_t y0,
+                  std::int64_t y1) override {
+    mark(after_, t, y0, y1);
+  }
+
+  /// Expect, for each block of `depth` generations, one before_rows
+  /// per row at the block's first generation, one after_rows per row
+  /// at its last, and no other call.
+  void expect_blocks(std::int64_t depth, const std::string& what) const {
+    EXPECT_EQ(run_begins, 1) << what;
+    for (std::int64_t g = 0; g < gens_; ++g) {
+      const std::int64_t in_block = g % depth;
+      const bool first = in_block == 0;
+      const bool last = in_block == depth - 1 || g == gens_ - 1;
+      for (std::int64_t y = 0; y < rows_; ++y) {
+        const auto i = static_cast<std::size_t>(g * rows_ + y);
+        ASSERT_EQ(before_[i], first ? 1 : 0)
+            << what << ": before_rows, generation " << t0_ + g << " row "
+            << y;
+        ASSERT_EQ(after_[i], last ? 1 : 0)
+            << what << ": after_rows, generation " << t0_ + g << " row "
+            << y;
+      }
+    }
+  }
+
+ private:
+  void mark(std::vector<int>& hits, std::int64_t t, std::int64_t y0,
+            std::int64_t y1) {
+    const std::lock_guard<std::mutex> lk(mu_);
+    ASSERT_TRUE(t >= t0_ && t < t0_ + gens_) << "generation " << t;
+    ASSERT_TRUE(0 <= y0 && y0 <= y1 && y1 <= rows_)
+        << "rows [" << y0 << ", " << y1 << ")";
+    for (std::int64_t y = y0; y < y1; ++y) {
+      ++hits[static_cast<std::size_t>((t - t0_) * rows_ + y)];
+    }
+  }
+
+  std::mutex mu_;
+  std::int64_t rows_;
+  std::int64_t t0_;
+  std::int64_t gens_;
+  int run_begins = 0;
+  std::vector<int> before_;
+  std::vector<int> after_;
+};
+
+struct HookCase {
+  const char* name;
+  std::int64_t depth;  // 1: the plain sweep at grain 1
+  unsigned threads;
+};
+
+constexpr HookCase kHookCases[] = {
+    {"1 band", 1, 1}, {"4 bands", 1, 4}, {"depth 3, 1 lane", 3, 1},
+    {"depth 3, 3 lanes", 3, 3}};
+
+TEST(RunnerHooks, EveryRowOncePerBlockOn2dRows) {
+  // 7 generations: the last depth-3 block is partial. 12 rows of 3
+  // make four tiles, so three lanes each own at least one.
+  const PlaneKernel& kernel = PlaneKernel::get(GasKind::FHP_II);
+  const Extent e{100, 12};
+  const std::int64_t t0 = 5;
+  const std::int64_t gens = 7;
+  for (const Boundary b : {Boundary::Null, Boundary::Periodic}) {
+    const SiteLattice start = seeded(e, b, kernel.model(), 17);
+    for (const HookCase& c : kHookCases) {
+      const std::string what = std::string(c.name) +
+                               (b == Boundary::Null ? " null" : " periodic");
+      PlaneLattice planes(start);
+      RecordingHooks hooks(e.height, t0, gens);
+      obs::MetricsRegistry::global().reset();
+      if (c.depth == 1) {
+        plane_gas_run(planes, kernel, gens, t0, c.threads, 1, &hooks);
+      } else {
+        const TemporalTiling tiling{c.depth, 3};
+        ASSERT_TRUE(temporal_tiling_feasible(tiling, e, b)) << what;
+        plane_gas_run_tiled(planes, kernel, gens, t0, c.threads, tiling,
+                            &hooks);
+      }
+      hooks.expect_blocks(c.depth, what);
+      if constexpr (obs::kEnabled) {
+        const obs::MetricsSnapshot snap =
+            obs::MetricsRegistry::global().snapshot();
+        if (c.depth == 1) {
+          EXPECT_EQ(snap.gauge_or("bitplane.bands", -1), c.threads) << what;
+        } else {
+          EXPECT_EQ(snap.gauge_or("bitplane.tiles", -1), 4) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(RunnerHooks, EveryRowOncePerBlockOn3dSlabs) {
+  // The hooks see the flat inner lattice, row r = z * ny + y. 12
+  // z-planes in tiles of 3 make four tiles.
+  const lgca3d::Extent3 ext{70, 5, 12};
+  const std::int64_t rows = ext.ny * ext.nz;
+  const std::int64_t t0 = 2;
+  const std::int64_t gens = 7;
+  for (const lgca3d::Boundary3 b :
+       {lgca3d::Boundary3::Null, lgca3d::Boundary3::Periodic}) {
+    lgca3d::Lattice3 vol(ext, b);
+    lgca3d::fill_random(vol, 0.3, 23);
+    for (const HookCase& c : kHookCases) {
+      const std::string what =
+          std::string(c.name) +
+          (b == lgca3d::Boundary3::Null ? " null" : " periodic");
+      lgca3d::PlaneLattice3 planes(vol);
+      RecordingHooks hooks(rows, t0, gens);
+      obs::MetricsRegistry::global().reset();
+      if (c.depth == 1) {
+        lgca3d::plane_gas_run3(planes, gens, t0, c.threads, 1, &hooks);
+      } else {
+        const TemporalTiling tiling{c.depth, 3};
+        ASSERT_TRUE(lgca3d::temporal_tiling_feasible3(tiling, ext, b))
+            << what;
+        lgca3d::plane_gas_run_tiled3(planes, gens, t0, c.threads, tiling,
+                                     &hooks);
+      }
+      hooks.expect_blocks(c.depth, what);
+      if constexpr (obs::kEnabled) {
+        const obs::MetricsSnapshot snap =
+            obs::MetricsRegistry::global().snapshot();
+        if (c.depth == 1) {
+          EXPECT_EQ(snap.gauge_or("bitplane.bands", -1), c.threads) << what;
+        } else {
+          EXPECT_EQ(snap.gauge_or("bitplane.tiles", -1), 4) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(TilePlan, AutoModeBlocksOnlyWhenTheSweepIsNotCacheResident) {
