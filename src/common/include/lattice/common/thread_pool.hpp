@@ -1,33 +1,28 @@
 // Persistent worker-thread pool.
 //
-// The simulators need two flavors of parallelism and must not pay a
-// thread-spawn per lattice generation for either:
-//
-//   for_each_task — a bag of independent tasks (e.g. row bands of one
-//     generation). Caller and workers drain a shared counter; any
-//     number of tasks is fine, tasks may outnumber executors.
-//
-//   run_lanes — exactly `lanes` bodies running *concurrently*, one per
-//     executor (lane 0 on the caller). Lanes may synchronize with each
-//     other (std::barrier) — this is what the thread-parallel SPA's
-//     barrier-stepped slice pipelines use, and why lanes, unlike tasks,
-//     can never be folded onto fewer threads.
+// The simulators run every parallel sweep as lanes and must not pay a
+// thread-spawn per lattice generation: run_lanes runs exactly `lanes`
+// bodies *concurrently*, one per executor (lane 0 on the caller). Each
+// lane owns a static share of the lattice for the whole run, and lanes
+// meet at a barrier between phases (a generation or a tile block of the
+// band/tile runner, a wavefront step of the thread-parallel SPA) — the
+// reason lanes can never be folded onto fewer threads. Lockstep below
+// is that barrier, and it is what lets a lane fail without stranding
+// the others.
 //
 // Workers are spawned once and parked on a condition variable between
-// jobs. Exceptions thrown by a task/lane are captured and the first one
-// is rethrown on the submitting thread; a throwing *task* additionally
-// cancels the unclaimed remainder of the bag (tasks already running
-// finish), so a failing for_each_task returns promptly and the pool
-// stays usable. Lanes are never cancelled — they may be blocked on a
-// barrier every lane must reach. Submissions are serialized: the
-// pool runs one job at a time (nested submission from inside a task
-// would deadlock — don't).
+// jobs. An exception thrown by a lane is captured and the first one is
+// rethrown on the submitting thread; the pool stays usable.
+// Submissions are serialized: the pool runs one job at a time (nested
+// submission from inside a lane would deadlock — don't).
 
 #pragma once
 
 #include <atomic>
+#include <barrier>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -37,8 +32,8 @@ namespace lattice::common {
 
 class ThreadPool {
  public:
-  /// Spawn `workers` persistent worker threads (0 is legal: every job
-  /// then runs inline on the caller).
+  /// Spawn `workers` persistent worker threads (0 is legal: only one
+  /// lane can then run, inline on the caller).
   explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 
@@ -53,26 +48,10 @@ class ThreadPool {
   /// Maximum concurrent lanes run_lanes can honor (workers + caller).
   unsigned max_lanes() const noexcept { return workers() + 1; }
 
-  /// Execute job(i) for every i in [0, tasks). The caller participates;
-  /// idle workers help. Returns when all tasks finished. tasks <= 1 (or
-  /// a worker-less pool) runs inline with no locking or allocation.
-  void for_each_task(std::int64_t tasks,
-                     const std::function<void(std::int64_t)>& job);
-
   /// Execute job(0) .. job(lanes-1) concurrently, each lane pinned to
   /// its own executor, so lanes may barrier-synchronize among
   /// themselves. Requires lanes <= max_lanes(). lanes == 1 runs inline.
   void run_lanes(unsigned lanes, const std::function<void(unsigned)>& job);
-
-  /// Split [0, n) into contiguous chunks of at least `grain` elements
-  /// (never more chunks than executors) and run job(begin, end) for
-  /// each via for_each_task. The grain floor means callers state the
-  /// smallest range worth a dispatch once, instead of re-deriving a
-  /// task count at every call site; n <= grain (or a worker-less pool)
-  /// runs the whole range inline. grain <= 0 means "one chunk per
-  /// executor".
-  void parallel_for(std::int64_t n, std::int64_t grain,
-                    const std::function<void(std::int64_t, std::int64_t)>& job);
 
   /// Process-wide pool shared by the engine and the parallel updaters.
   /// Sized max(hardware_concurrency, 8) - 1 so that an 8-lane SPA run is
@@ -82,9 +61,6 @@ class ThreadPool {
 
  private:
   void worker_loop(unsigned index);
-  void dispatch(const std::function<void(std::int64_t)>* task_fn,
-                const std::function<void(unsigned)>* lane_fn, unsigned lanes,
-                std::int64_t tasks);
 
   std::vector<std::thread> threads_;
 
@@ -98,12 +74,61 @@ class ThreadPool {
   unsigned active_ = 0;  // workers still inside the current epoch
 
   // Current job (valid while active_ > 0).
-  const std::function<void(std::int64_t)>* task_fn_ = nullptr;
-  const std::function<void(unsigned)>* lane_fn_ = nullptr;
+  const std::function<void(unsigned)>* job_ = nullptr;
   unsigned lanes_ = 0;
-  std::int64_t task_count_ = 0;
-  std::atomic<std::int64_t> next_task_{0};
   std::exception_ptr error_;
+};
+
+/// The phase barrier of lanes that step in lockstep. Every lane runs
+/// each phase's work through step(), which then waits for the other
+/// lanes. A throw must not strand the lanes that did not throw at the
+/// next barrier, so step() keeps it until every lane has arrived, and
+/// the barrier's completion step decides, once per phase, whether any
+/// lane has failed. All lanes read that one decision: they all leave at
+/// the same phase boundary, the failed lanes by rethrowing, and
+/// run_lanes hands the first exception to its caller.
+class Lockstep {
+ public:
+  explicit Lockstep(unsigned lanes)
+      : barrier_(static_cast<std::ptrdiff_t>(lanes), Decide{this}) {}
+
+  /// Run this lane's share of one phase, then wait for every lane.
+  /// Returns false when the run ends at this boundary.
+  template <class Work>
+  bool step(const Work& work) {
+    std::exception_ptr error;
+    try {
+      work();
+    } catch (...) {
+      error = std::current_exception();
+      failed_.store(true, std::memory_order_relaxed);
+    }
+    barrier_.arrive_and_wait();
+    if (error) std::rethrow_exception(error);
+    return !stop_;
+  }
+
+ private:
+  struct Decide {
+    Lockstep* self;
+    void operator()() noexcept {
+      self->stop_ = self->failed_.load(std::memory_order_relaxed);
+    }
+  };
+
+  std::atomic<bool> failed_{false};
+  bool stop_ = false;  // written only by the completion step
+  std::barrier<Decide> barrier_;
+};
+
+/// Lockstep for a run that has one lane: no barrier, and a throw
+/// leaves at once.
+struct SoloStep {
+  template <class Work>
+  static bool step(const Work& work) {
+    work();
+    return true;
+  }
 };
 
 }  // namespace lattice::common

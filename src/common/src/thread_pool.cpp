@@ -10,26 +10,20 @@ namespace lattice::common {
 
 namespace {
 
-// Pool instrumentation (docs/OBSERVABILITY.md): job/task counts, the
-// submitted bag size as a gauge, and latency histograms. Per-worker
-// busy time lets a profile compute each worker's busy fraction; all
-// pools in the process share one namespace, like the registry itself.
+// Pool instrumentation (docs/OBSERVABILITY.md): job counts and
+// latency histograms. Per-worker busy time lets a profile compute each
+// worker's busy fraction; all pools in the process share one
+// namespace, like the registry itself.
 struct PoolObs {
-  obs::MetricsRegistry::Id jobs;        // dispatches (task bags + lane sets)
-  obs::MetricsRegistry::Id tasks;       // tasks executed, all executors
-  obs::MetricsRegistry::Id queue_depth; // gauge: tasks in the current bag
+  obs::MetricsRegistry::Id jobs;        // lane sets dispatched
   obs::MetricsRegistry::Id job_ns;      // histogram: whole-job latency
-  obs::MetricsRegistry::Id task_ns;     // histogram: single-task latency
   obs::MetricsRegistry::Id lane_ns;     // histogram: single-lane latency
   obs::MetricsRegistry::Id caller_busy; // caller-thread busy ns
 
   static const PoolObs& get() {
     static const PoolObs ids = {
         obs::counter_id("pool.jobs"),
-        obs::counter_id("pool.tasks"),
-        obs::gauge_id("pool.queue_depth"),
         obs::histogram_id("pool.job_ns"),
-        obs::histogram_id("pool.task_ns"),
         obs::histogram_id("pool.lane_ns"),
         obs::counter_id("pool.caller.busy_ns"),
     };
@@ -73,52 +67,22 @@ void ThreadPool::worker_loop(unsigned index) {
     cv_work_.wait(lk, [&] { return stop_ || epoch_ != seen; });
     if (stop_) return;
     seen = epoch_;
-    const auto* task_fn = task_fn_;
-    const auto* lane_fn = lane_fn_;
+    const auto* job = job_;
     const unsigned lanes = lanes_;
-    const std::int64_t total = task_count_;
     lk.unlock();
 
     std::exception_ptr err;
-    try {
-      if (task_fn != nullptr) {
-        std::int64_t done = 0;
-        const std::int64_t epoch_t0 = obs::kEnabled ? obs::now_ns() : 0;
-        for (;;) {
-          const std::int64_t i =
-              next_task_.fetch_add(1, std::memory_order_relaxed);
-          if (i >= total) break;
-          if constexpr (obs::kEnabled) {
-            const obs::ScopedTimer t(PoolObs::get().task_ns);
-            (*task_fn)(i);
-          } else {
-            (*task_fn)(i);
-          }
-          ++done;
-        }
-        if constexpr (obs::kEnabled) {
-          if (done > 0) {
-            obs::count(PoolObs::get().tasks, done);
-            obs::count(busy_id, obs::now_ns() - epoch_t0);
-          }
-        }
-      } else if (lane_fn != nullptr && index + 1 < lanes) {
-        const std::int64_t lane_t0 = obs::kEnabled ? obs::now_ns() : 0;
-        (*lane_fn)(index + 1);
-        if constexpr (obs::kEnabled) {
-          const std::int64_t lane_dt = obs::now_ns() - lane_t0;
-          obs::record(PoolObs::get().lane_ns, lane_dt);
-          obs::count(busy_id, lane_dt);
-        }
+    if (index + 1 < lanes) {
+      const std::int64_t lane_t0 = obs::kEnabled ? obs::now_ns() : 0;
+      try {
+        (*job)(index + 1);
+      } catch (...) {
+        err = std::current_exception();
       }
-    } catch (...) {
-      err = std::current_exception();
-      // Cancel the rest of the bag: unclaimed tasks are abandoned so
-      // the job fails fast instead of running to completion around the
-      // error. (Lanes can't be cancelled — they may be blocked on a
-      // barrier that every lane must reach.)
-      if (task_fn != nullptr) {
-        next_task_.store(total, std::memory_order_relaxed);
+      if constexpr (obs::kEnabled) {
+        const std::int64_t lane_dt = obs::now_ns() - lane_t0;
+        obs::record(PoolObs::get().lane_ns, lane_dt);
+        obs::count(busy_id, lane_dt);
       }
     }
 
@@ -126,89 +90,6 @@ void ThreadPool::worker_loop(unsigned index) {
     if (err && !error_) error_ = err;
     if (--active_ == 0) cv_done_.notify_all();
   }
-}
-
-void ThreadPool::dispatch(const std::function<void(std::int64_t)>* task_fn,
-                          const std::function<void(unsigned)>* lane_fn,
-                          unsigned lanes, std::int64_t tasks) {
-  std::lock_guard<std::mutex> submit(submit_mu_);
-  const std::int64_t job_t0 = obs::kEnabled ? obs::now_ns() : 0;
-  if constexpr (obs::kEnabled) {
-    obs::count(PoolObs::get().jobs, 1);
-    obs::gauge_set(PoolObs::get().queue_depth,
-                   task_fn != nullptr ? tasks : lanes);
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    task_fn_ = task_fn;
-    lane_fn_ = lane_fn;
-    lanes_ = lanes;
-    task_count_ = tasks;
-    next_task_.store(0, std::memory_order_relaxed);
-    error_ = nullptr;
-    active_ = workers();
-    ++epoch_;
-  }
-  cv_work_.notify_all();
-
-  // The caller is executor/lane 0.
-  std::exception_ptr err;
-  try {
-    if (task_fn != nullptr) {
-      std::int64_t done = 0;
-      for (;;) {
-        const std::int64_t i =
-            next_task_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks) break;
-        if constexpr (obs::kEnabled) {
-          const obs::ScopedTimer t(PoolObs::get().task_ns);
-          (*task_fn)(i);
-        } else {
-          (*task_fn)(i);
-        }
-        ++done;
-      }
-      if constexpr (obs::kEnabled) {
-        if (done > 0) obs::count(PoolObs::get().tasks, done);
-      }
-    } else if (lane_fn != nullptr) {
-      (*lane_fn)(0);
-      if constexpr (obs::kEnabled) {
-        obs::record(PoolObs::get().lane_ns, obs::now_ns() - job_t0);
-      }
-    }
-  } catch (...) {
-    err = std::current_exception();
-    if (task_fn != nullptr) {
-      next_task_.store(tasks, std::memory_order_relaxed);
-    }
-  }
-
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] { return active_ == 0; });
-  task_fn_ = nullptr;
-  lane_fn_ = nullptr;
-  if (err && !error_) error_ = err;
-  const std::exception_ptr first = error_;
-  error_ = nullptr;
-  lk.unlock();
-  if constexpr (obs::kEnabled) {
-    const std::int64_t job_dt = obs::now_ns() - job_t0;
-    obs::record(PoolObs::get().job_ns, job_dt);
-    obs::count(PoolObs::get().caller_busy, job_dt);
-    obs::gauge_set(PoolObs::get().queue_depth, 0);
-  }
-  if (first) std::rethrow_exception(first);
-}
-
-void ThreadPool::for_each_task(std::int64_t tasks,
-                               const std::function<void(std::int64_t)>& job) {
-  LATTICE_REQUIRE(tasks >= 0, "task count must be >= 0");
-  if (tasks <= 1 || workers() == 0) {
-    for (std::int64_t i = 0; i < tasks; ++i) job(i);
-    return;
-  }
-  dispatch(&job, nullptr, 0, tasks);
 }
 
 void ThreadPool::run_lanes(unsigned lanes,
@@ -220,28 +101,43 @@ void ThreadPool::run_lanes(unsigned lanes,
     job(0);
     return;
   }
-  dispatch(nullptr, &job, lanes, 0);
-}
+  std::lock_guard<std::mutex> submit(submit_mu_);
+  const std::int64_t job_t0 = obs::kEnabled ? obs::now_ns() : 0;
+  if constexpr (obs::kEnabled) obs::count(PoolObs::get().jobs, 1);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    job_ = &job;
+    lanes_ = lanes;
+    error_ = nullptr;
+    active_ = workers();
+    ++epoch_;
+  }
+  cv_work_.notify_all();
 
-void ThreadPool::parallel_for(
-    std::int64_t n, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& job) {
-  LATTICE_REQUIRE(n >= 0, "range length must be >= 0");
-  if (n == 0) return;
-  std::int64_t chunks = static_cast<std::int64_t>(max_lanes());
-  if (grain > 0) {
-    chunks = std::min(chunks, std::max<std::int64_t>(1, n / grain));
+  // The caller is lane 0.
+  std::exception_ptr err;
+  try {
+    job(0);
+  } catch (...) {
+    err = std::current_exception();
   }
-  chunks = std::min(chunks, n);
-  if (chunks <= 1 || workers() == 0) {
-    job(0, n);
-    return;
+  if constexpr (obs::kEnabled) {
+    obs::record(PoolObs::get().lane_ns, obs::now_ns() - job_t0);
   }
-  const std::int64_t per = (n + chunks - 1) / chunks;
-  for_each_task(chunks, [&](std::int64_t c) {
-    const std::int64_t begin = c * per;
-    job(begin, std::min(n, begin + per));
-  });
+
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_done_.wait(lk, [&] { return active_ == 0; });
+  job_ = nullptr;
+  if (err && !error_) error_ = err;
+  const std::exception_ptr first = error_;
+  error_ = nullptr;
+  lk.unlock();
+  if constexpr (obs::kEnabled) {
+    const std::int64_t job_dt = obs::now_ns() - job_t0;
+    obs::record(PoolObs::get().job_ns, job_dt);
+    obs::count(PoolObs::get().caller_busy, job_dt);
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -68,20 +68,14 @@ class BitPlaneExec final : public BackendExec {
 
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
+    // A depth-1 plan is an infeasible tiling: the runner's plain sweep.
     lgca::PlaneRunHooks* hooks = guard_ ? &*guard_ : nullptr;
-    const bool tiled = plan_.depth > 1;
-    if (kernel_ == nullptr && tiled) {
+    if (kernel_ == nullptr) {
       lgca3d::bitplane_gas_run_tiled3(state, extent_, chunk, generation,
                                       threads_, plan_.tiling(), hooks);
-    } else if (kernel_ == nullptr) {
-      lgca3d::bitplane_gas_run3(state, extent_, chunk, generation, threads_,
-                                /*band_grain_words=*/0, hooks);
-    } else if (tiled) {
+    } else {
       lgca::bitplane_gas_run_tiled(state, *kernel_, chunk, generation,
                                    threads_, plan_.tiling(), hooks);
-    } else {
-      lgca::bitplane_gas_run(state, *kernel_, chunk, generation, threads_,
-                             /*band_grain_words=*/0, hooks);
     }
     stats_.site_updates += state.extent().area() * chunk;
   }

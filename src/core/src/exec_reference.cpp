@@ -89,12 +89,9 @@ class ReferenceExec final : public BackendExec {
   void run_generations(lgca::SiteLattice& state, std::int64_t chunk,
                        std::int64_t generation) {
     if (lut_ != nullptr) {
-      if (plan_.depth > 1) {
-        lgca::fused_gas_run_tiled(state, *lut_, chunk, generation, threads_,
-                                  plan_.tiling());
-      } else {
-        lgca::fused_gas_run(state, *lut_, chunk, generation, threads_);
-      }
+      // A depth-1 plan is an infeasible tiling: the runner's plain sweep.
+      lgca::fused_gas_run_tiled(state, *lut_, chunk, generation, threads_,
+                                plan_.tiling());
     } else if (threads_ > 1) {
       lgca::reference_run_parallel(state, *rule_, chunk, threads_, generation);
     } else {

@@ -1,10 +1,5 @@
 #include "lattice/lgca/reference.hpp"
 
-#include <algorithm>
-#include <functional>
-#include <utility>
-
-#include "lattice/common/thread_pool.hpp"
 #include "lattice/obs/metrics.hpp"
 
 namespace lattice::lgca {
@@ -42,46 +37,6 @@ void reference_run(SiteLattice& lat, const Rule& rule,
     reference_step(lat, rule, t0 + g);
   }
   obs::count(reference_sites_id(), lat.extent().area() * generations);
-}
-
-void reference_run_parallel(SiteLattice& lat, const Rule& rule,
-                            std::int64_t generations, unsigned threads,
-                            std::int64_t t0) {
-  LATTICE_REQUIRE(threads >= 1, "need at least one worker thread");
-  const Extent e = lat.extent();
-  const std::int64_t bands =
-      std::min<std::int64_t>(threads, e.height);  // ≤ one band per row
-  const std::int64_t rows_per = bands > 0 ? (e.height + bands - 1) / bands : 0;
-
-  SiteLattice next(e, lat.boundary());
-  std::int64_t t = t0;
-  const auto band_rows = [&](std::int64_t y0, std::int64_t y1) {
-    for (std::int64_t y = y0; y < y1; ++y) {
-      for (std::int64_t x = 0; x < e.width; ++x) {
-        const Coord c{x, y};
-        next.at(c) = rule.apply(lat.window_at(c), SiteContext{x, y, t});
-      }
-    }
-  };
-  static const obs::MetricsRegistry::Id band_id =
-      obs::histogram_id("reference.band_ns");
-  const std::function<void(std::int64_t)> band = [&](std::int64_t b) {
-    const obs::ScopedTimer timer(band_id);
-    const std::int64_t y0 = b * rows_per;
-    band_rows(y0, std::min(e.height, y0 + rows_per));
-  };
-  for (std::int64_t g = 0; g < generations; ++g) {
-    t = t0 + g;
-    if (bands <= 1) {
-      band_rows(0, e.height);  // inline: no pool, no allocation
-    } else {
-      // Disjoint row bands of the new generation, all reading the
-      // immutable old one: any execution order is bit-identical.
-      common::ThreadPool::shared().for_each_task(bands, band);
-    }
-    std::swap(lat, next);
-  }
-  obs::count(reference_sites_id(), e.area() * generations);
 }
 
 }  // namespace lattice::lgca

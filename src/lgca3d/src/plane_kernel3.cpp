@@ -113,6 +113,9 @@ struct PlaneSlabs {
   static constexpr bool kPlanes = true;
   const PlaneKernel3& kernel = PlaneKernel3::get();
 
+  static std::int64_t sites(const PlaneLattice3& l) {
+    return l.extent3().volume();
+  }
   static std::int64_t units(const PlaneLattice3& l) { return l.extent3().nz; }
   static std::int64_t rows_per_unit(const PlaneLattice3& l) {
     return l.extent3().ny;
@@ -148,9 +151,8 @@ void plane_gas_run3(PlaneLattice3& lat, std::int64_t generations,
                     std::int64_t t0, unsigned threads,
                     std::int64_t band_grain_words,
                     lgca::PlaneRunHooks* hooks) {
-  if (!lgca::runnable(threads, generations, lat.extent3().volume())) return;
-  lgca::run_banded(PlaneSlabs{}, lat, generations, t0, threads,
-                   band_grain_words, hooks);
+  lgca::run_schedule(PlaneSlabs{}, lat, generations, t0, threads, {},
+                     band_grain_words, hooks);
 }
 
 bool temporal_tiling_feasible3(const lgca::TemporalTiling& tiling,
@@ -163,13 +165,8 @@ void plane_gas_run_tiled3(PlaneLattice3& lat, std::int64_t generations,
                           std::int64_t t0, unsigned threads,
                           const lgca::TemporalTiling& tiling,
                           lgca::PlaneRunHooks* hooks) {
-  if (!lgca::runnable(threads, generations, lat.extent3().volume())) return;
-  if (generations < 2 ||
-      !temporal_tiling_feasible3(tiling, lat.extent3(), lat.boundary3())) {
-    plane_gas_run3(lat, generations, t0, threads, 0, hooks);
-    return;
-  }
-  lgca::run_tiled(PlaneSlabs{}, lat, generations, t0, threads, tiling, hooks);
+  lgca::run_schedule(PlaneSlabs{}, lat, generations, t0, threads, tiling, 0,
+                     hooks);
 }
 
 void bitplane_gas_run3(Lattice3& lat, std::int64_t generations,

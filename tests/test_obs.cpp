@@ -576,19 +576,23 @@ TEST(EngineSnapshot, BitPlanePassIsTheTopLevelStage) {
 }
 
 TEST(PoolCounters, TasksAndJobsAreCounted) {
+  // One run_lanes job: pool.jobs + 1, and one pool.lane_ns sample per
+  // lane (the caller's lane 0 included).
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with LATTICE_OBS=OFF";
   auto& pool = common::ThreadPool::shared();
+  const auto lane_samples = [](const obs::MetricsSnapshot& snap) {
+    const obs::HistogramStats* h = snap.find_histogram("pool.lane_ns");
+    return h != nullptr ? h->count : 0;
+  };
   const auto before = obs::MetricsRegistry::global().snapshot();
   std::atomic<int> ran{0};
-  pool.for_each_task(16, [&](std::int64_t) {
+  pool.run_lanes(4, [&](unsigned) {
     ran.fetch_add(1, std::memory_order_relaxed);
   });
-  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(ran.load(), 4);
   const auto after = obs::MetricsRegistry::global().snapshot();
   EXPECT_EQ(after.counter_or("pool.jobs") - before.counter_or("pool.jobs"), 1);
-  EXPECT_EQ(after.counter_or("pool.tasks") - before.counter_or("pool.tasks"),
-            16);
-  EXPECT_EQ(after.gauge_or("pool.queue_depth"), 0);  // reset after the job
+  EXPECT_EQ(lane_samples(after) - lane_samples(before), 4);
 }
 
 TEST(FaultCounters, InjectionAndDetectionReachTheRegistry) {
