@@ -29,9 +29,10 @@
 //   threads >= 2 — the paper's multi-chip parallelism made literal:
 //     slice pipelines run on persistent worker lanes, stepping a
 //     row-chunk wavefront (stage d trails stage d-1 by two chunks) with
-//     a std::barrier rendezvous standing in for the synchronous side
-//     channels. Counters are the closed forms the tick walk provably
-//     produces (asserted equal in tests).
+//     a common::Lockstep rendezvous standing in for the synchronous
+//     side channels; a rule that throws on one lane ends every lane at
+//     the same step, and run() rethrows it. Counters are the closed
+//     forms the tick walk provably produces (asserted equal in tests).
 //
 // With `fast_kernel`, a GasRule's updates go through the fused
 // CollisionLut gather instead of Window construction + virtual

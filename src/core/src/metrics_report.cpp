@@ -8,7 +8,7 @@ namespace lattice::core {
 namespace {
 
 // The engine's own top-level stages besides its pass. Everything else
-// in the registry (wsa.run_ns, pool.task_ns, bitplane.update_ns, ...)
+// in the registry (wsa.run_ns, pool.lane_ns, bitplane.update_ns, ...)
 // nests inside one of these or the pass, and would double-count if
 // listed here.
 constexpr std::array<std::string_view, 2> kEngineStages = {

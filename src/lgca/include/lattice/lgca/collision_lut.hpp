@@ -98,12 +98,15 @@ class CollisionLut {
 };
 
 /// Advance `lat` by `generations` gas steps on the fused kernel,
-/// double-buffered, row bands fanned out over `threads` workers of the
-/// shared pool (threads == 1 runs inline). Bit-identical to
-/// reference_run with a GasRule of the same kind for any thread count.
-/// Chunk-invariant: splitting a run at any generation boundary and
-/// resuming with the carried t0 reproduces the continuous run exactly
-/// (chirality is a position-time hash, not stream state).
+/// double-buffered: the scheduler's runner (scheduler.hpp) over byte
+/// rows, with min(threads, rows) row bands capped at the shared pool's
+/// lanes, each owned by one lane for the run (threads == 1 runs
+/// inline). Bit-identical to reference_run with a GasRule of the same
+/// kind for any thread count. Chunk-invariant: splitting a run at any
+/// generation boundary and resuming with the carried t0 reproduces the
+/// continuous run exactly (chirality is a position-time hash of
+/// (x, y, t), not stream state), and bands are plain row ranges, since
+/// update_span takes any [x0, x1) column span.
 void fused_gas_run(SiteLattice& lat, const CollisionLut& lut,
                    std::int64_t generations, std::int64_t t0 = 0,
                    unsigned threads = 1);

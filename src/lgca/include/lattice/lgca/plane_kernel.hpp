@@ -32,14 +32,14 @@
 // of per row. The trapezoid tile step's window rows stay row spans.
 //
 // The runners declared here (and the tiled ones in temporal_tile.hpp)
-// are instances of the one band/trapezoid scheduler
+// are instances of the one runner of the band/trapezoid scheduler
 // (lattice/lgca/scheduler.hpp) with a row as the unit; the 3-D runners
-// are the same scheduler with a z-plane as the unit. Parallelism is
+// are the same runner with a z-plane as the unit. Parallelism is
 // static band ownership: at most `threads` contiguous row bands, each
-// owned by one pool lane for the whole run, with one barrier per
+// owned by one pool lane for the whole run, with one rendezvous per
 // generation. A grain-size floor collapses the band count (down to an
-// inline single-band loop) when per-generation work is too small to
-// pay for the rendezvous, so thread scaling is monotone — more threads
+// inline single band) when per-generation work is too small to pay
+// for the rendezvous, so thread scaling is monotone — more threads
 // never run slower than fewer (docs/ARCHITECTURE.md, "Threading
 // contract").
 //
@@ -178,15 +178,20 @@ class PlaneKernel {
 };
 
 /// Observation/instrumentation points inside the plane runners, keyed
-/// to the band structure (or, tiled, to the block structure). The one
-/// client today is the fault subsystem's PlaneMemoryGuard
-/// (fault/memory_guard.hpp), which injects plane-word faults into the
-/// generation-t source and audits per-plane particle ledgers over the
-/// produced rows; the interface lives here so lgca never depends on
-/// lattice::fault. A null hooks pointer is the
-/// fault-free fast path: the run loop is unchanged (the banded path
-/// takes one untaken branch per band-generation and skips the extra
-/// pre-update barrier entirely).
+/// to the runner's blocks: a generation of the plain sweep, or `depth`
+/// generations of a tiled run. The one client today is the fault
+/// subsystem's PlaneMemoryGuard (fault/memory_guard.hpp), which
+/// injects plane-word faults into the generation-t source and audits
+/// per-plane particle ledgers over the produced rows; the interface
+/// lives here so lgca never depends on lattice::fault. A null hooks
+/// pointer is the fault-free fast path: the run loop takes one untaken
+/// branch per lane-block and skips the pre-update rendezvous entirely.
+///
+/// At every depth, each lane calls before_rows and after_rows over its
+/// own rows only, once per block, concurrently with the other lanes.
+/// A throw from a hook ends the run: every lane leaves at the same
+/// rendezvous, the runner rethrows the first exception, and the
+/// lattice is left mid-block (unspecified).
 class PlaneRunHooks {
  public:
   virtual ~PlaneRunHooks() = default;
@@ -200,26 +205,28 @@ class PlaneRunHooks {
   virtual void run_begin(PlaneLattice& lat, std::uint32_t written_planes,
                          std::uint32_t halo_planes, std::int64_t t0) = 0;
 
-  /// Per band, per generation, before update_rows gathers from rows
-  /// [y0, y1) of the generation-t source `cur`. May mutate those rows
-  /// (fault injection). Called concurrently from all bands; a barrier
-  /// separates every before_rows from every update, so a band never
-  /// gathers a neighbor row that is still being mutated.
+  /// Per lane, per block, before the block gathers from the lane's
+  /// rows [y0, y1) of the committed generation-t source `cur` (t is
+  /// the block's first generation). May mutate those rows (fault
+  /// injection). A rendezvous separates every before_rows from every
+  /// update, so a lane never gathers a neighbor row that is still
+  /// being mutated.
   virtual void before_rows(PlaneLattice& cur, std::int64_t t,
                            std::int64_t y0, std::int64_t y1) = 0;
 
-  /// Per band, per generation, after update_rows produced rows [y0, y1)
-  /// of `next` (halo-ready). Called concurrently; read-only.
+  /// Per lane, per block, after the block produced the lane's rows
+  /// [y0, y1) of `next` (halo-ready; t is the block's last
+  /// generation). Read-only.
   virtual void after_rows(const PlaneLattice& next, std::int64_t t,
                           std::int64_t y0, std::int64_t y1) = 0;
 };
 
 /// Advance `lat` by `generations` gas steps on the bit-plane kernel,
 /// double-buffered. Up to `threads` static row bands are owned by
-/// persistent pool lanes with one barrier per generation; the planner
-/// never makes a band smaller than `band_grain_words` payload words
-/// (0 picks kDefaultBandGrainWords), collapsing to an inline
-/// single-band loop when the lattice is too small to parallelize
+/// persistent pool lanes with one rendezvous per generation; the
+/// planner never makes a band smaller than `band_grain_words` payload
+/// words (0 picks kDefaultBandGrainWords), collapsing to an inline
+/// single band when the lattice is too small to parallelize
 /// profitably. Bit-identical to reference_run / fused_gas_run of the
 /// same kind for any thread count and any SIMD level.
 void plane_gas_run(PlaneLattice& lat, const PlaneKernel& kernel,

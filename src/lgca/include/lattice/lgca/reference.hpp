@@ -25,13 +25,16 @@ void reference_run(SiteLattice& lat, const Rule& rule,
 SiteLattice reference_next(const SiteLattice& lat, const Rule& rule,
                            std::int64_t t);
 
-/// Multithreaded reference updater: rows are partitioned into `threads`
-/// bands, each reading the (immutable) old generation and writing a
-/// disjoint band of the new one — no synchronization inside a
-/// generation, one shared-pool rendezvous per generation (the pool's
-/// workers are persistent; `threads == 1` runs inline without touching
-/// the pool). Bit-identical to the serial updater for any thread count
-/// (rules are pure functions of (window, x, y, t)).
+/// Multithreaded reference updater: the scheduler's runner
+/// (scheduler.hpp) over byte rows, the rule applied site by site. Rows
+/// are partitioned into min(threads, rows) bands, capped at the shared
+/// pool's lanes, each owned by one lane for the run, reading the
+/// (immutable) old generation and writing a disjoint band of the new
+/// one — no synchronization inside a generation, one rendezvous per
+/// generation (`threads == 1` runs inline without touching the pool).
+/// A rule that throws on any band ends the run for every band, and the
+/// exception is rethrown here. Bit-identical to the serial updater for
+/// any thread count (rules are pure functions of (window, x, y, t)).
 void reference_run_parallel(SiteLattice& lat, const Rule& rule,
                             std::int64_t generations, unsigned threads,
                             std::int64_t t0 = 0);

@@ -33,13 +33,15 @@
 // windowed row update (storage row vs semantic row, hex parity,
 // chirality hash, boundary resolution) is documented on
 // PlaneKernel::update_row_window / CollisionLut::update_span_window.
-// The runners below are instances of the one band/trapezoid scheduler
-// (scheduler.hpp), which holds the trapezoid step, the tiled runner
-// and the feasibility rule once for rows (2-D planes and bytes) and
-// z-planes (3-D, plane_kernel3.hpp) alike. Everything here is
-// bit-identical to plane_gas_run / fused_gas_run for every (gas,
-// boundary, SIMD level, thread count, depth) — by the induction above,
-// and by the tile-seam sweep in tests/test_temporal_tile.cpp.
+// The runners below are the tiled halves of the plain runners' pairs:
+// each pair is one call of the band/trapezoid scheduler's one runner
+// (scheduler.hpp), which holds the trapezoid step, the runner and the
+// feasibility rule once for rows (2-D planes and bytes) and z-planes
+// (3-D, plane_kernel3.hpp) alike, the plain sweep being its depth-1
+// case. Everything here is bit-identical to plane_gas_run /
+// fused_gas_run for every (gas, boundary, SIMD level, thread count,
+// depth) — by the induction above, and by the tile-seam sweep in
+// tests/test_temporal_tile.cpp.
 
 #pragma once
 
@@ -56,8 +58,7 @@ namespace lattice::lgca {
 /// needs the two numbers.
 struct TemporalTiling {
   /// Generations computed per tile visit (k). depth <= 1 means "no
-  /// temporal blocking" and the tiled drivers fall back to the plain
-  /// sweep.
+  /// temporal blocking": the runner's plain sweep.
   std::int64_t depth = 1;
   /// Output units per tile at the final step — rows, or z-planes for
   /// the 3-D runners. The scratch strips hold tile_rows + 2*(depth-1)
@@ -78,12 +79,14 @@ bool temporal_tiling_feasible(const TemporalTiling& tiling, Extent extent,
 /// gas steps, computing tiling.depth generations per cache-resident
 /// trapezoidal tile. Tiles of one block are independent (redundant
 /// seam recompute) and are distributed over up to `threads` pool lanes;
-/// one barrier per block (i.e. per depth generations) replaces the
-/// plain runner's barrier per generation. `hooks` fire at block
-/// granularity — before_rows over the full committed lattice before a
-/// block, after_rows after it — so fault injection strikes the
-/// DRAM-resident committed state while cache-resident intermediates
-/// stay clean, and a detected fault still rolls the whole block back.
+/// one rendezvous per block (i.e. per depth generations) replaces the
+/// plain sweep's rendezvous per generation. `hooks` fire at block
+/// granularity, per lane over its own rows — before_rows on the
+/// committed lattice before a block, after_rows after it — so fault
+/// injection strikes the DRAM-resident committed state while
+/// cache-resident intermediates stay clean, and a detected fault still
+/// rolls the whole block back. An infeasible tiling (or a single
+/// generation) runs the plain sweep at the default grain.
 /// Bit-identical to plane_gas_run for any tiling.
 void plane_gas_run_tiled(PlaneLattice& lat, const PlaneKernel& kernel,
                          std::int64_t generations, std::int64_t t0,
@@ -102,6 +105,7 @@ void bitplane_gas_run_tiled(SiteLattice& lat, const PlaneKernel& kernel,
 /// which has no plane kernel). Same trapezoid scheme over SiteLattice
 /// scratch strips; the collide table preserves the obstacle and rest
 /// bits, so byte scratch rows carry the full site state automatically.
+/// An infeasible tiling runs fused_gas_run's plain sweep.
 /// Bit-identical to fused_gas_run for any tiling.
 void fused_gas_run_tiled(SiteLattice& lat, const CollisionLut& lut,
                          std::int64_t generations, std::int64_t t0,

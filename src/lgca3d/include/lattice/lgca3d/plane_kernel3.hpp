@@ -44,10 +44,11 @@
 // matrix in tests/test_plane_lattice3.cpp and by the level sweep in
 // tests/test_lgca3d.cpp.
 //
-// The runners below are instances of the one band/trapezoid scheduler
-// (lattice/lgca/scheduler.hpp) with the unit promoted from a row to a
-// z-plane of ny rows: up to `threads` contiguous z-slabs are owned by
-// persistent pool lanes, one barrier per generation. This z-slab
+// The runners below are instances of the one band/trapezoid
+// scheduler's runner (lattice/lgca/scheduler.hpp) with the unit
+// promoted from a row to a z-plane of ny rows: up to `threads`
+// contiguous z-slabs are owned by persistent pool lanes, one
+// rendezvous per generation. This z-slab
 // decomposition is the software shape of the sliced 3-D SPA — slabs of
 // z-planes exchanging faces (the slab-boundary rows the neighbor bands
 // gather) at each generation barrier, generalizing the 2-D strip
@@ -108,7 +109,7 @@ class PlaneKernel3 {
 };
 
 /// Advance `lat` by `generations` steps of the 3-D gas, double-
-/// buffered, with up to `threads` z-slab bands (one barrier per
+/// buffered, with up to `threads` z-slab bands (one rendezvous per
 /// generation; a band never owns less than `band_grain_words` payload
 /// words per plane per generation — 0 picks the 2-D planner's
 /// kDefaultBandGrainWords — so thread scaling stays monotone). `hooks`
@@ -127,8 +128,9 @@ bool temporal_tiling_feasible3(const lgca::TemporalTiling& tiling,
                                Extent3 extent, Boundary3 boundary);
 
 /// plane_gas_run3 with temporal blocking: tiling.depth generations per
-/// trapezoidal z-slab tile, redundant seam recompute, one barrier per
-/// block. Falls back to plane_gas_run3 when the tiling is infeasible.
+/// trapezoidal z-slab tile, redundant seam recompute, one rendezvous
+/// per block. Runs plane_gas_run3's plain sweep when the tiling is
+/// infeasible.
 /// Bit-identical to plane_gas_run3 for any tiling.
 void plane_gas_run_tiled3(PlaneLattice3& lat, std::int64_t generations,
                           std::int64_t t0, unsigned threads,
