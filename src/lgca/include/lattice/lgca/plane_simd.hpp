@@ -6,13 +6,12 @@
 // (src/lgca/src/plane_span.inc) over a word type and compiled at three
 // widths: the portable 64-bit scalar word, an AVX2 vector (256 sites
 // per op) and an AVX-512 vector (512 sites per op). All three compute
-// the same function bit-for-bit. A span covers one row (a row span) or
-// a band of compact rows as one flat range of words, guard words
-// included (a flat run; SpanRun below). The vector instances run 4 or
-// 8 lattice words per instruction and hand a row's masked tail word
-// and any sub-vector remainder, or a run shorter than one vector, to
-// the scalar instance, so odd widths and guard-halo handling never
-// depend on the ISA.
+// the same function bit-for-bit. A span covers one wide row (a row
+// span) or compact rows as one flat range of their dense words (a run;
+// SpanRun below). The vector instances run 4 or 8 lattice words per
+// instruction and hand a wide row's masked tail word and any
+// sub-vector remainder, or a run shorter than one vector, to the
+// scalar instance, so odd widths never depend on the ISA.
 //
 // Which variants exist in a binary is a build-time fact (the
 // LATTICE_SIMD CMake option; vector TUs are compiled with -mavx2 /
@@ -38,34 +37,40 @@ enum class SimdLevel : int {
 
 const char* to_string(SimdLevel level) noexcept;
 
-/// Longest row stride a flat run may have: compact rows (fewer than
-/// PlaneLattice::kRowPad payload words) sit at stride words + 2 <= 9.
-/// Bounds the span's per-position scratch, which lives on its stack.
-inline constexpr std::int64_t kMaxRunStride = 9;
+/// Longest row stride a run may have: compact rows (fewer than
+/// PlaneLattice::kRowPad payload words) are stored dense, at stride
+/// words <= 7, and every wider row has a stride of at least 17. Bounds
+/// the span's per-position scratch, which lives on its stack.
+inline constexpr std::int64_t kMaxRunStride = 7;
 
 /// The work of one span call: `rows` consecutive rows of a plane
-/// lattice, row r of every plane `stride` words after row r - 1.
+/// lattice, row r of every plane `stride` words after row r - 1. The
+/// stride alone picks the form:
 ///
-///   rows == 1   a row span: words [k0, k1) of one row of any layout
-///               (the column tiles of a wide row, the lattice's edge
-///               rows, a trapezoid tile's window rows);
-///   rows  > 1   a flat run over compact rows (stride <=
-///               kMaxRunStride): the (rows - 1) * stride + words word
-///               positions from row 0's word 0 to the last row's last
-///               word, the guard words between rows included. Those
-///               guards are computed like payload and stored as zero,
-///               as the tail bits are, so the caller's halo fill
-///               finds them as a row span leaves them.
+///   stride >  kMaxRunStride   a row span: words [k0, k1) of one wide
+///                             row (rows == 1), its shifts reading the
+///                             row's guard halo;
+///   stride <= kMaxRunStride   a run over compact rows: all rows *
+///                             words dense word positions, from row 0's
+///                             word 0 to the last row's last word
+///                             (k0 and k1 unused). A shift that crosses
+///                             a row end takes the row's other end,
+///                             shifted into place, under Periodic, and
+///                             zero under Null; tail bits are stored as
+///                             zero. A one-row run serves the lattice's
+///                             edge rows and a trapezoid tile's window
+///                             rows.
 ///
 /// Channel i gathers from src[i] + position shifted by dx[y & 1][i],
 /// where y is the semantic row (the cubic gas ignores dx: its ±x
 /// shifts are fixed by its channel order); a tap's row offset (dy, or a
-/// 3-D dz plane) is folded into src[i], so in a flat run it is one
-/// offset for every row. HPP reads neither `rest` nor the chirality;
-/// FHP-I never loads `rest`; the cubic gas reads no `rest` and writes
-/// out[0..5] only. (y, z, t) are row 0's semantic coordinates, z = 0
-/// in 2-D: they key the per-word chirality hash of every gas that has
-/// one.
+/// 3-D dz plane) is folded into src[i], so in a run it is one offset
+/// for every row, and the edge rows' taps are resolved (wrapped, or the
+/// zero row) before the call. HPP reads neither `rest` nor the
+/// chirality; FHP-I never loads `rest`; the cubic gas reads no `rest`
+/// and writes out[0..5] only. (y, z, t) are row 0's semantic
+/// coordinates, z = 0 in 2-D: they key the per-word chirality hash of
+/// every gas that has one.
 struct SpanRun {
   const std::uint64_t* src[6];  // gather source of each channel, row 0
   const std::uint64_t* rest;    // rest plane, row 0
@@ -76,6 +81,7 @@ struct SpanRun {
   std::int64_t stride;
   std::int64_t words;           // payload words per row
   std::uint64_t tail_mask;      // valid bits of a row's last word
+  bool periodic;                // a run's rows wrap at their ends
   std::int64_t k0, k1;          // a row span's word range
   std::int64_t y, z, t;
 };

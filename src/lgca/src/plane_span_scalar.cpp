@@ -1,10 +1,9 @@
 // Scalar (64-bit word) instance of the bit-plane spans
 // (plane_span.inc), and the masked last word of every instance: the
-// vector spans hand it, with any sub-vector remainder, to the
-// detail::*_span_scalar loops below, and a flat run shorter than one
-// vector goes here whole. Every step is word algebra: even the
-// chirality, the one stochastic input, arrives as a whole word from
-// chirality_mix.
+// vector spans hand a wide row's, with any sub-vector remainder, to the
+// detail::*_span_scalar loops below, and a run shorter than one vector
+// goes here whole. Every step is word algebra: even the chirality, the
+// one stochastic input, arrives as a whole word from chirality_mix.
 
 #include "plane_span.hpp"
 
@@ -16,15 +15,15 @@ namespace {
 using W = std::uint64_t;
 #include "plane_span.inc"
 
-/// Words [from, k1) of a row span with every word masked, or the whole
-/// of a flat run.
+/// Words [from, k1) of a wide row's span with every word masked, or
+/// the whole of a run.
 template <class Span, class Word>
 void masked_words(const SpanRun& run, std::int64_t from, Span whole,
                   Word word) {
-  if (run.rows > 1) {
-    whole(run);
+  if (run.stride > kMaxRunStride) {
+    masked_row(run, from, word);
   } else {
-    masked_row(run, 0, from, run.k1, word);
+    whole(run);
   }
 }
 

@@ -1,13 +1,13 @@
 // Bit-plane (multi-spin coded) representation of the 3-D lattice.
 //
 // The x axis keeps the exact word layout of the 2-D PlaneLattice (64
-// sites per uint64_t, guard-word halo on both row ends, the same row
-// strides — compact below 8 payload words, so a 192-wide row is 5
-// words), because the x-shift structure of propagation is identical
-// in every dimension. The y and z axes need no halo storage at all:
-// their taps are whole-row reads, resolved per row against the
-// boundary (zero row under Null, wrapped row under Periodic) exactly
-// like the 2-D kernel resolves its dy taps.
+// sites per uint64_t, the same row strides — dense below 8 payload
+// words, so a 192-wide row is its 3 words, and guard-padded above),
+// because the x-shift structure of propagation is identical in every
+// dimension. The y and z axes need no halo storage at all: their taps
+// are whole-row reads, resolved per row against the boundary (zero
+// under Null, wrapped under Periodic) exactly like the 2-D kernel
+// resolves its dy taps.
 //
 // Concretely a PlaneLattice3 of extent {nx, ny, nz} *is* a 2-D
 // PlaneLattice of extent {nx, ny*nz} whose row r = z*ny + y — the same
@@ -16,12 +16,14 @@
 // equality) are reused verbatim rather than reimplemented. The 3-D
 // structure lives entirely in the kernel's row addressing
 // (plane_kernel3.hpp). With compact rows a z-plane of one bit-plane is
-// ny rows at a fixed stride, one dense word range, so the kernel runs
-// its interior rows as a single flat run of the 2-D span family.
+// ny dense rows, one word range, so the kernel runs its interior rows
+// as a single run of the 2-D span family, and the zero row a Null
+// volume's edge reads is a whole zero z-plane.
 
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "lattice/lgca/plane_lattice.hpp"
 #include "lattice/lgca3d/lattice3.hpp"
@@ -68,8 +70,8 @@ class PlaneLattice3 {
   lgca::PlaneLattice& inner() noexcept { return inner_; }
   const lgca::PlaneLattice& inner() const noexcept { return inner_; }
 
-  /// Payload word 0 of `plane` on row (y, z); guard words at -1 and
-  /// words_per_row() as in the 2-D layout.
+  /// Payload word 0 of `plane` on row (y, z); a wide row's guard words
+  /// at -1 and words_per_row() as in the 2-D layout.
   std::uint64_t* row(int plane, std::int64_t z, std::int64_t y) noexcept {
     return inner_.row(plane, z * extent_.ny + y);
   }
@@ -77,9 +79,16 @@ class PlaneLattice3 {
                            std::int64_t y) const noexcept {
     return inner_.row(plane, z * extent_.ny + y);
   }
-  const std::uint64_t* zero_row() const noexcept { return inner_.zero_row(); }
+  /// An all-zero z-plane, ny rows at the row stride with
+  /// PlaneLattice::kRowPad zero words on either side: what the plane
+  /// past a Null volume's z edge, and the row past its y edge, read
+  /// as. A run over a z-edge plane's rows reads it row for row.
+  const std::uint64_t* zero_row() const noexcept {
+    return zeros_.data() + lgca::PlaneLattice::kRowPad;
+  }
 
-  /// Fill the x shift halo of the named planes for z-planes [z0, z1).
+  /// Fill the x shift halo of the named planes for z-planes [z0, z1)
+  /// (a no-op on compact rows, which have none).
   void prepare_shift_halo(std::uint32_t plane_mask, std::int64_t z0,
                           std::int64_t z1) {
     inner_.prepare_shift_halo(plane_mask, z0 * extent_.ny, z1 * extent_.ny);
@@ -103,6 +112,7 @@ class PlaneLattice3 {
   Extent3 extent_{};
   Boundary3 boundary_ = Boundary3::Null;
   lgca::PlaneLattice inner_;
+  std::vector<std::uint64_t> zeros_;
 };
 
 }  // namespace lattice::lgca3d

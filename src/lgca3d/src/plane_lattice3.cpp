@@ -8,6 +8,9 @@ PlaneLattice3::PlaneLattice3(Extent3 extent, Boundary3 boundary)
     : extent_(extent), boundary_(boundary) {
   validate_extent3(extent);
   inner_ = lgca::PlaneLattice(flat_extent(extent), to_boundary2(boundary));
+  zeros_.assign(static_cast<std::size_t>(extent.ny * inner_.row_stride() +
+                                         2 * lgca::PlaneLattice::kRowPad),
+                0);
 }
 
 PlaneLattice3::PlaneLattice3(const Lattice3& sites)

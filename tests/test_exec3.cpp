@@ -132,8 +132,9 @@ TEST_P(Exec3Matrix, RaggedAdvancesMatchStraightRun) {
 TEST(Exec3Tiling, ExplicitPlanEngagesAndStaysExact) {
   // nz far beyond the slab budget so an explicit k = 2 plan is
   // feasible; chunk_quantum() == 2 proves the plan engaged (it is the
-  // executor's scheduling contract, not a private detail).
-  const lgca3d::Extent3 ext{64, 16, 384};
+  // executor's scheduling contract, not a private detail). Its 1 KiB
+  // slabs give 510 z-planes per tile, so 544 planes make two tiles.
+  const lgca3d::Extent3 ext{64, 16, 544};
   LatticeEngine tiled(cfg3(Backend::BitPlane3, ext, lgca::Boundary::Null,
                            2, 2));
   EXPECT_EQ(tiled.chunk_quantum(), 2) << "the k = 2 z-slab plan must hold";

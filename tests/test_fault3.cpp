@@ -51,8 +51,18 @@ TEST(Fault3Capability, BitPlane3TakesPlaneFaultsButNotMachineMemory) {
       case 2: plan.parity_plane = true; break;
       case 3: plan.stuck_planes.push_back({2, 0, 1, ~0ull}); break;
     }
-    EXPECT_NO_THROW(LatticeEngine{engine_cfg3(Backend::BitPlane3, plan)})
-        << "arm " << arm;
+    LatticeEngine::Config wide = engine_cfg3(Backend::BitPlane3, plan);
+    wide.extent = {512, 4};
+    wide.depth = 4;
+    EXPECT_NO_THROW(LatticeEngine{wide}) << "arm " << arm;
+    if (arm == 1) {
+      EXPECT_THROW(LatticeEngine{engine_cfg3(Backend::BitPlane3, plan)},
+                   Error)
+          << "24-wide rows are compact: no guard word to flip";
+    } else {
+      EXPECT_NO_THROW(LatticeEngine{engine_cfg3(Backend::BitPlane3, plan)})
+          << "arm " << arm;
+    }
   }
   fault::FaultPlan machine;
   machine.buffer_flip_rate = 1e-3;
@@ -170,13 +180,16 @@ struct Guarded3 {
 
 // What the engine hands a BitPlane3 pass: the flat {nx, ny*nz} bytes
 // of a seeded periodic volume, under a plan that arms every
-// plane-memory source and every detector.
+// plane-memory source and every detector. Halo flips need guard
+// words, which only rows of 8 or more words store, so a compact volume
+// runs the plan with `halo_rate` 0.
 template <typename Run>
-Guarded3 run_guarded3(const lgca3d::Extent3& ext, const Run& run) {
+Guarded3 run_guarded3(const lgca3d::Extent3& ext, double halo_rate,
+                      const Run& run) {
   fault::FaultPlan plan;
   plan.seed = 99;
   plan.plane_flip_rate = 0.01;
-  plan.halo_flip_rate = 0.05;
+  plan.halo_flip_rate = halo_rate;
   plan.parity_plane = true;
   plan.stuck_planes.push_back({1, 10, 0x0F, ~std::uint64_t{0}});
   fault::FaultInjector inj(plan);
@@ -210,40 +223,65 @@ TEST(Fault3, GuardedRunnersAreBandAndLaneCountInvariant) {
   // neither the z-slab band split (per-generation hooks, injection
   // barrier) nor the tile-to-lane split (block hooks from lane 0) may
   // change a counter or the corrupted evolution. A one-word grain
-  // forces four bands on a volume far below the default grain.
-  const lgca3d::Extent3 ext{100, 6, 8};
-  const auto banded = [&](unsigned threads) {
-    return run_guarded3(ext, [&](lgca::SiteLattice& s,
-                                 lgca::PlaneRunHooks* hooks) {
-      lgca3d::bitplane_gas_run3(s, ext, 24, 0, threads, 1, hooks);
-    });
+  // forces four bands on a volume far below the default grain. The
+  // wide volume (8-word rows) takes halo flips; the compact one runs
+  // the other sources and refuses them.
+  struct Shape {
+    lgca3d::Extent3 ext;
+    double halo_rate;
   };
-  const Guarded3 one_band = banded(1);
-  const Guarded3 four_bands = banded(4);
-  ASSERT_GT(one_band.counters.injected(), 0);
-  ASSERT_GT(one_band.counters.detected(), 0);
-  expect_same_run(one_band, four_bands);
+  for (const Shape shape : {Shape{{512, 2, 8}, 0.05}, Shape{{100, 6, 8}, 0}}) {
+    const lgca3d::Extent3 ext = shape.ext;
+    const auto banded = [&](unsigned threads) {
+      return run_guarded3(ext, shape.halo_rate,
+                          [&](lgca::SiteLattice& s,
+                              lgca::PlaneRunHooks* hooks) {
+                            lgca3d::bitplane_gas_run3(s, ext, 24, 0, threads,
+                                                      1, hooks);
+                          });
+    };
+    const Guarded3 one_band = banded(1);
+    const Guarded3 four_bands = banded(4);
+    ASSERT_GT(one_band.counters.injected(), 0);
+    ASSERT_GT(one_band.counters.detected(), 0);
+    if (shape.halo_rate > 0) {
+      EXPECT_GT(one_band.counters.detected_canary, 0)
+          << "the wide volume must exercise the halo family";
+    }
+    expect_same_run(one_band, four_bands);
 
-  const lgca::TemporalTiling tiling{2, 2};  // four z-slab tiles
-  ASSERT_TRUE(lgca3d::temporal_tiling_feasible3(
-      tiling, ext, lgca3d::Boundary3::Periodic));
-  const auto tiled = [&](unsigned threads) {
-    return run_guarded3(ext, [&](lgca::SiteLattice& s,
-                                 lgca::PlaneRunHooks* hooks) {
-      lgca3d::bitplane_gas_run_tiled3(s, ext, 24, 0, threads, tiling, hooks);
-    });
-  };
-  const Guarded3 one_lane = tiled(1);
-  const Guarded3 four_lanes = tiled(4);
-  ASSERT_GT(one_lane.counters.injected(), 0);
-  ASSERT_GT(one_lane.counters.detected(), 0);
-  expect_same_run(one_lane, four_lanes);
+    const lgca::TemporalTiling tiling{2, 2};  // four z-slab tiles
+    ASSERT_TRUE(lgca3d::temporal_tiling_feasible3(
+        tiling, ext, lgca3d::Boundary3::Periodic));
+    const auto tiled = [&](unsigned threads) {
+      return run_guarded3(ext, shape.halo_rate,
+                          [&](lgca::SiteLattice& s,
+                              lgca::PlaneRunHooks* hooks) {
+                            lgca3d::bitplane_gas_run_tiled3(
+                                s, ext, 24, 0, threads, tiling, hooks);
+                          });
+    };
+    const Guarded3 one_lane = tiled(1);
+    const Guarded3 four_lanes = tiled(4);
+    ASSERT_GT(one_lane.counters.injected(), 0);
+    ASSERT_GT(one_lane.counters.detected(), 0);
+    expect_same_run(one_lane, four_lanes);
 
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(one_band.bands, 1);
-    EXPECT_EQ(four_bands.bands, 4) << "the banded path must really split";
-    EXPECT_EQ(four_lanes.tiles, 4) << "the tiled path must really tile";
+    if constexpr (obs::kEnabled) {
+      EXPECT_EQ(one_band.bands, 1);
+      EXPECT_EQ(four_bands.bands, 4) << "the banded path must really split";
+      EXPECT_EQ(four_lanes.tiles, 4) << "the tiled path must really tile";
+    }
   }
+  const lgca3d::Extent3 compact{100, 6, 8};
+  EXPECT_THROW(run_guarded3(compact, 0.05,
+                            [&](lgca::SiteLattice& s,
+                                lgca::PlaneRunHooks* hooks) {
+                              lgca3d::bitplane_gas_run3(s, compact, 24, 0, 1,
+                                                        1, hooks);
+                            }),
+               Error)
+      << "halo flips are refused on compact rows";
 }
 
 // ---- escalation ----

@@ -153,16 +153,20 @@ TEST(PlaneMemoryGuard, ParityShadowCatchesEveryPayloadFlipInItsPass) {
 }
 
 TEST(PlaneMemoryGuard, HaloCanaryCatchesEveryGuardWordFlip) {
+  // Guard words exist only on wide rows (8 or more payload words): a
+  // 512-wide row has them, a 64-wide compact row is dense and refuses
+  // the family rather than under-inject.
+  const lgca::PlaneKernel& kernel =
+      lgca::PlaneKernel::get(lgca::GasKind::FHP_II);
+  fault::FaultPlan plan;
+  plan.seed = 12;
+  plan.halo_flip_rate = 1.0;  // one guard flip per row per generation
   for (const lgca::Boundary boundary :
        {lgca::Boundary::Null, lgca::Boundary::Periodic}) {
-    fault::FaultPlan plan;
-    plan.seed = 12;
-    plan.halo_flip_rate = 1.0;  // one guard flip per row per generation
     fault::FaultInjector inj(plan);
     fault::PlaneMemoryGuard guard(inj);
-    lgca::SiteLattice lat = seeded_lattice({64, 32}, boundary);
-    lgca::bitplane_gas_run(lat, lgca::PlaneKernel::get(lgca::GasKind::FHP_II),
-                           1, 0, 1, 0, &guard);
+    lgca::SiteLattice lat = seeded_lattice({512, 32}, boundary);
+    lgca::bitplane_gas_run(lat, kernel, 1, 0, 1, 0, &guard);
     const fault::FaultCounters& c = inj.counters();
     EXPECT_EQ(c.injected_plane, 32);
     EXPECT_EQ(c.detected_canary, 32)
@@ -170,6 +174,15 @@ TEST(PlaneMemoryGuard, HaloCanaryCatchesEveryGuardWordFlip) {
     EXPECT_EQ(c.detected_ledger, 0)
         << "guard words are outside every payload ledger";
     EXPECT_EQ(c.detected_shadow, 0);
+
+    fault::FaultInjector compact_inj(plan);
+    fault::PlaneMemoryGuard compact_guard(compact_inj);
+    lgca::SiteLattice compact = seeded_lattice({64, 32}, boundary);
+    EXPECT_THROW(
+        lgca::bitplane_gas_run(compact, kernel, 1, 0, 1, 0, &compact_guard),
+        Error)
+        << "a compact row stores no guard word to flip";
+    EXPECT_EQ(compact_inj.counters().injected(), 0);
   }
 }
 
@@ -178,13 +191,12 @@ struct GuardRunResult {
   lgca::SiteLattice state;
 };
 
-GuardRunResult run_guarded(const fault::FaultPlan& plan,
+GuardRunResult run_guarded(const fault::FaultPlan& plan, Extent extent,
                            lgca::Boundary boundary, unsigned threads,
                            std::int64_t grain_words) {
   fault::FaultInjector inj(plan);
   fault::PlaneMemoryGuard guard(inj);
-  GuardRunResult r{fault::FaultCounters{},
-                   seeded_lattice({100, 40}, boundary)};
+  GuardRunResult r{fault::FaultCounters{}, seeded_lattice(extent, boundary)};
   lgca::bitplane_gas_run(r.state,
                          lgca::PlaneKernel::get(lgca::GasKind::FHP_II), 24, 0,
                          threads, grain_words, &guard);
@@ -201,28 +213,47 @@ void expect_same_counters(const fault::FaultCounters& a,
   EXPECT_EQ(a.detected_shadow, b.detected_shadow);
 }
 
-fault::FaultPlan mixed_plane_plan() {
+/// Every plane-memory source and detector. Halo flips need guard
+/// words, so a compact shape (`halo` false) runs the plan without them.
+fault::FaultPlan mixed_plane_plan(bool halo = true) {
   fault::FaultPlan plan;
   plan.seed = 99;
   plan.plane_flip_rate = 0.01;
-  plan.halo_flip_rate = 0.05;
+  plan.halo_flip_rate = halo ? 0.05 : 0.0;
   plan.parity_plane = true;
   plan.stuck_planes.push_back({1, 10, 0x0F, ~std::uint64_t{0}});
   return plan;
 }
+
+/// The mixed plan's shapes: a wide row (8 words, tail bits) that takes
+/// the halo family, and a compact one (2 words) that refuses it.
+constexpr Extent kWideGuarded{500, 40};
+constexpr Extent kCompactGuarded{100, 40};
 
 TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreBandCountInvariant) {
   // Faults are keyed by global lattice coordinates and detectors are
   // per-row, so splitting the sweep into concurrent row bands must not
   // change a single counter (or the corrupted evolution itself). The
   // tiny grain forces the banded path with its injection barrier.
-  const GuardRunResult serial =
-      run_guarded(mixed_plane_plan(), lgca::Boundary::Periodic, 1, 0);
-  const GuardRunResult banded =
-      run_guarded(mixed_plane_plan(), lgca::Boundary::Periodic, 4, 8);
-  ASSERT_GT(serial.counters.injected(), 0);
-  expect_same_counters(serial.counters, banded.counters);
-  EXPECT_TRUE(serial.state == banded.state);
+  for (const Extent e : {kWideGuarded, kCompactGuarded}) {
+    const fault::FaultPlan plan = mixed_plane_plan(e == kWideGuarded);
+    const GuardRunResult serial =
+        run_guarded(plan, e, lgca::Boundary::Periodic, 1, 0);
+    const GuardRunResult banded =
+        run_guarded(plan, e, lgca::Boundary::Periodic, 4, 8);
+    ASSERT_GT(serial.counters.injected(), 0) << e.width;
+    expect_same_counters(serial.counters, banded.counters);
+    EXPECT_TRUE(serial.state == banded.state) << e.width;
+  }
+  EXPECT_GT(run_guarded(mixed_plane_plan(), kWideGuarded,
+                        lgca::Boundary::Periodic, 1, 0)
+                .counters.detected_canary,
+            0)
+      << "the wide shape must exercise the halo family";
+  EXPECT_THROW(run_guarded(mixed_plane_plan(), kCompactGuarded,
+                           lgca::Boundary::Periodic, 1, 0),
+               Error)
+      << "halo flips are refused on compact rows";
 }
 
 TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreSimdLevelInvariant) {
@@ -231,21 +262,25 @@ TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreSimdLevelInvariant) {
   // popcount dispatch) must report identical counts on every level
   // this machine supports.
   const lgca::SimdLevel base = lgca::SimdLevel::Scalar;
-  GuardRunResult golden{fault::FaultCounters{}, lgca::SiteLattice{}};
-  {
-    const lgca::ScopedSimdLevel pin(base);
-    golden = run_guarded(mixed_plane_plan(), lgca::Boundary::Null, 1, 0);
-  }
-  ASSERT_GT(golden.counters.injected(), 0);
-  for (const lgca::SimdLevel level :
-       {lgca::SimdLevel::Avx2, lgca::SimdLevel::Avx512}) {
-    if (!lgca::simd_supported(level)) continue;
-    const lgca::ScopedSimdLevel pin(level);
-    const GuardRunResult got =
-        run_guarded(mixed_plane_plan(), lgca::Boundary::Null, 1, 0);
-    expect_same_counters(golden.counters, got.counters);
-    EXPECT_TRUE(golden.state == got.state)
-        << "corrupted evolution must match on " << lgca::to_string(level);
+  for (const Extent e : {kWideGuarded, kCompactGuarded}) {
+    const fault::FaultPlan plan = mixed_plane_plan(e == kWideGuarded);
+    GuardRunResult golden{fault::FaultCounters{}, lgca::SiteLattice{}};
+    {
+      const lgca::ScopedSimdLevel pin(base);
+      golden = run_guarded(plan, e, lgca::Boundary::Null, 1, 0);
+    }
+    ASSERT_GT(golden.counters.injected(), 0) << e.width;
+    for (const lgca::SimdLevel level :
+         {lgca::SimdLevel::Avx2, lgca::SimdLevel::Avx512}) {
+      if (!lgca::simd_supported(level)) continue;
+      const lgca::ScopedSimdLevel pin(level);
+      const GuardRunResult got = run_guarded(plan, e, lgca::Boundary::Null,
+                                             1, 0);
+      expect_same_counters(golden.counters, got.counters);
+      EXPECT_TRUE(golden.state == got.state)
+          << "corrupted evolution must match on " << lgca::to_string(level)
+          << " at width " << e.width;
+    }
   }
 }
 
@@ -293,7 +328,11 @@ TEST(PlaneFaultEngine, PlanCapabilityMatrix) {
     c.fault = plane_plan;
     EXPECT_NO_THROW(core::LatticeEngine{c});
     c.fault = halo_plan;
-    EXPECT_NO_THROW(core::LatticeEngine{c});
+    EXPECT_THROW(core::LatticeEngine{c}, Error)
+        << "a compact 64-wide row stores no guard words";
+    c.extent = {512, 16};
+    EXPECT_NO_THROW(core::LatticeEngine{c})
+        << "a wide row's guard words take halo flips";
   }
   {
     core::LatticeEngine::Config c =
@@ -313,16 +352,19 @@ TEST(PlaneFaultEngine, PlanCapabilityMatrix) {
 
 TEST(PlaneFaultEngine, ArmedButInertPlanRaisesNoFalsePositives) {
   // Detectors fully armed, fault sources all inert: the ledger, the
-  // canary (both boundary modes, one- and two-word rows) and the
-  // parity shadow must stay silent, and the run must be bit-exact
-  // against the unguarded fast path.
+  // canary (on the wide rows, both boundary modes, with and without
+  // tail bits) and the parity shadow must stay silent on one- and
+  // two-word compact rows and on wide ones, and the run must be
+  // bit-exact against the unguarded fast path.
   struct Geometry {
     Extent extent;
     lgca::Boundary boundary;
   };
   for (const Geometry g : {Geometry{{48, 32}, lgca::Boundary::Null},
                            Geometry{{64, 32}, lgca::Boundary::Periodic},
-                           Geometry{{100, 24}, lgca::Boundary::Periodic}}) {
+                           Geometry{{100, 24}, lgca::Boundary::Periodic},
+                           Geometry{{512, 8}, lgca::Boundary::Null},
+                           Geometry{{500, 8}, lgca::Boundary::Periodic}}) {
     core::LatticeEngine::Config armed_cfg =
         engine_cfg(core::Backend::BitPlane, g.boundary);
     armed_cfg.extent = g.extent;
