@@ -281,11 +281,13 @@ void run_schedule(const A& a, typename A::Lattice& lat,
             : plan_bands(n, unit_words, threads,
                          band_grain_words > 0 ? band_grain_words
                                               : kDefaultBandGrainWords);
-  // Even the tiles out (the last one would otherwise take the
-  // remainder): ceil(n / tiles) units each keeps the spread to one.
-  // The plain one-band sweep skips this divide and the block count's:
-  // a 64-bit divide is a visible share of a 2 µs call on a 64² lattice.
-  const std::int64_t tile_units = tiles == 1 ? n : (n + tiles - 1) / tiles;
+  // Balance the tiles: tile i owns units [i·n/tiles, (i+1)·n/tiles),
+  // so sizes differ by at most one and no tile is empty. The plain
+  // one-band sweep skips this divide and the block count's: a 64-bit
+  // divide is a visible share of a 2 µs call on a 64² lattice.
+  const auto unit_at = [&](std::int64_t i) {
+    return tiles == 1 ? i * n : i * n / tiles;
+  };
   const std::int64_t blocks = tiled ? (generations + k - 1) / k : generations;
   const unsigned lanes = static_cast<unsigned>(std::min<std::int64_t>(
       std::min<std::int64_t>(threads, tiles),
@@ -313,8 +315,8 @@ void run_schedule(const A& a, typename A::Lattice& lat,
       s0 = a.scratch(lat, tiling.tile_rows + 2 * (k - 1));
       s1 = a.scratch(lat, tiling.tile_rows + 2 * (k - 1));
     }
-    const std::int64_t u0 = range.lo * tile_units;
-    const std::int64_t u1 = std::min(n, range.hi * tile_units);
+    const std::int64_t u0 = unit_at(range.lo);
+    const std::int64_t u1 = unit_at(range.hi);
     L* cur = &lat;
     L* dst = &next;
     for (std::int64_t b = 0; b < blocks; ++b) {
@@ -328,8 +330,8 @@ void run_schedule(const A& a, typename A::Lattice& lat,
       const auto update = [&] {
         for (std::int64_t tile = range.lo; tile < range.hi; ++tile) {
           const obs::ScopedTimer tile_timer(timer);
-          const std::int64_t v0 = tile * tile_units;
-          const std::int64_t v1 = std::min(n, v0 + tile_units);
+          const std::int64_t v0 = unit_at(tile);
+          const std::int64_t v1 = unit_at(tile + 1);
           if (kb == 1) {
             a.update(*dst, *cur, t, v0, v1);
           } else {

@@ -176,7 +176,8 @@ TEST(TemporalTileFused, InfeasibleTilingFallsBackToPlainSweep) {
 // ---- the hook protocol every plane runner keeps ----
 
 /// Counts every hook call per (generation, flat row): how often
-/// before_rows covered a row at generation t, and after_rows likewise.
+/// before_rows covered a row at generation t, and after_rows likewise,
+/// and how many before_rows calls came and how many covered no row.
 /// Calls may arrive concurrently from the run's lanes.
 class RecordingHooks final : public PlaneRunHooks {
  public:
@@ -184,6 +185,9 @@ class RecordingHooks final : public PlaneRunHooks {
       : rows_(rows), t0_(t0), gens_(gens),
         before_(static_cast<std::size_t>(rows * gens), 0),
         after_(static_cast<std::size_t>(rows * gens), 0) {}
+
+  int before_calls = 0;
+  int empty_befores = 0;
 
   void run_begin(PlaneLattice& lat, std::uint32_t, std::uint32_t,
                  std::int64_t t0) override {
@@ -195,6 +199,9 @@ class RecordingHooks final : public PlaneRunHooks {
   void before_rows(PlaneLattice&, std::int64_t t, std::int64_t y0,
                    std::int64_t y1) override {
     mark(before_, t, y0, y1);
+    const std::lock_guard<std::mutex> lk(mu_);
+    ++before_calls;
+    if (y0 == y1) ++empty_befores;
   }
   void after_rows(const PlaneLattice&, std::int64_t t, std::int64_t y0,
                   std::int64_t y1) override {
@@ -329,6 +336,39 @@ TEST(RunnerHooks, EveryRowOncePerBlockOn3dSlabs) {
       }
     }
   }
+}
+
+TEST(RunnerHooks, EveryLaneOwnsRowsWhenUnitsAreFew) {
+  // 9 units over 4 bands: bands of ceil(9 / 4) = 3 units would be
+  // [0, 3), [3, 6), [6, 9) and an empty [9, 9), so one lane would only
+  // wait at the rendezvous. Band i owns [9i / 4, 9(i + 1) / 4): 2, 2,
+  // 2 and 3 units. Rows on the 2-D runner, z-planes on the 3-D one.
+  const std::int64_t t0 = 3;
+  const std::int64_t gens = 4;
+  const PlaneKernel& kernel = PlaneKernel::get(GasKind::FHP_II);
+  const Extent e{128, 9};
+  PlaneLattice planes(seeded(e, Boundary::Periodic, kernel.model(), 29));
+  RecordingHooks hooks(e.height, t0, gens);
+  obs::MetricsRegistry::global().reset();
+  plane_gas_run(planes, kernel, gens, t0, 4, 1, &hooks);
+  hooks.expect_blocks(1, "2-D");
+  EXPECT_EQ(hooks.before_calls, 4 * gens);
+  EXPECT_EQ(hooks.empty_befores, 0) << "every lane must own rows";
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(obs::MetricsRegistry::global().snapshot().gauge_or(
+                  "bitplane.bands", -1),
+              4);
+  }
+
+  const lgca3d::Extent3 ext{70, 5, 9};
+  lgca3d::Lattice3 vol(ext, lgca3d::Boundary3::Periodic);
+  lgca3d::fill_random(vol, 0.3, 31);
+  lgca3d::PlaneLattice3 planes3(vol);
+  RecordingHooks hooks3(ext.ny * ext.nz, t0, gens);
+  lgca3d::plane_gas_run3(planes3, gens, t0, 4, 1, &hooks3);
+  hooks3.expect_blocks(1, "3-D");
+  EXPECT_EQ(hooks3.before_calls, 4 * gens);
+  EXPECT_EQ(hooks3.empty_befores, 0) << "every lane must own z-planes";
 }
 
 TEST(TilePlan, AutoModeBlocksOnlyWhenTheSweepIsNotCacheResident) {
