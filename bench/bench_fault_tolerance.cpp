@@ -8,7 +8,9 @@
 // words and side-channel transfers; bit-plane rows flip stored plane
 // words and shift-halo guard words, retire a stuck plane word by
 // remapping, and climb all the way to the reference oracle under a
-// hopeless flip rate. One WSA row exhausts the whole escalation ladder
+// hopeless flip rate. Guard words exist only on rows of 8 or more
+// words, so the halo row runs its own wide extent of the same site
+// count, 1024x64 (512x32 quick), against its own golden reference. One WSA row exhausts the whole escalation ladder
 // on purpose. Shape expectation: every recovered row ends bit-exact
 // with the golden reference, effective rate degrades smoothly with the
 // fault rate, and the unarmed path pays nothing.
@@ -53,7 +55,26 @@ struct Scenario {
   bool oracle = false;
   // The deliberately hopeless row: success means CorruptionError.
   bool expect_give_up = false;
+  // A wide row of side²/wide_height sites instead of the side² square
+  // (the halo row: only wide rows have guard words); 0 = the square.
+  std::int64_t wide_height = 0;
 };
+
+Extent scenario_extent(const Scenario& s) {
+  const std::int64_t side = bench_side();
+  return s.wide_height > 0 ? Extent{side * side / s.wide_height, s.wide_height}
+                           : Extent{side, side};
+}
+
+/// The fault-free golden answer a recovered run of `e` must reproduce.
+lgca::SiteLattice golden_for(Extent e) {
+  lgca::SiteLattice golden(e, lgca::Boundary::Null);
+  lgca::fill_random(golden, lgca::GasModel::get(lgca::GasKind::FHP_II), 0.3,
+                    77, 0.1);
+  lgca::reference_run(golden, lgca::GasRule(lgca::GasKind::FHP_II),
+                      bench_gens());
+  return golden;
+}
 
 struct Result {
   const Scenario* scenario;
@@ -64,7 +85,7 @@ struct Result {
 
 core::LatticeEngine make_engine(const Scenario& s) {
   core::LatticeEngine::Config c;
-  c.extent = {bench_side(), bench_side()};
+  c.extent = scenario_extent(s);
   c.gas = lgca::GasKind::FHP_II;
   c.backend = s.backend;
   c.pipeline_depth = kDepth;
@@ -119,9 +140,11 @@ std::vector<Scenario> scenarios() {
     p.parity_plane = parity;
     return p;
   };
+  // Per row: 8e-3 on the wide extent's quarter of the rows draws as
+  // many guard flips per generation as 2e-3 did on the square.
   fault::FaultPlan halo;
   halo.seed = 7;
-  halo.halo_flip_rate = 2e-3;
+  halo.halo_flip_rate = 8e-3;
   fault::FaultPlan parity_only;
   parity_only.seed = 7;
   parity_only.parity_plane = true;
@@ -152,7 +175,8 @@ std::vector<Scenario> scenarios() {
        parity_only},
       {"bitplane plane flips 5e-4", "bp_flips", core::Backend::BitPlane,
        plane_flips(5e-4, true)},
-      {"bitplane halo flips 2e-3", "bp_halo", core::Backend::BitPlane, halo},
+      {"bitplane halo flips 8e-3", "bp_halo", core::Backend::BitPlane, halo,
+       8, false, false, /*wide_height=*/bench_side() / 4},
       // A stuck DRAM column in plane memory: every pass is dirty until
       // the ladder reaches the degrade rung and retires the word.
       {"bitplane stuck word, remapped", "bp_stuck", core::Backend::BitPlane,
@@ -178,10 +202,7 @@ bool print_tables(std::vector<Result>& out, const std::vector<Scenario>& rows) {
   const std::int64_t gens = bench_gens();
 
   // The golden fault-free answer every recovered run must reproduce.
-  lgca::SiteLattice golden({side, side}, lgca::Boundary::Null);
-  lgca::fill_random(golden, lgca::GasModel::get(lgca::GasKind::FHP_II), 0.3,
-                    77, 0.1);
-  lgca::reference_run(golden, lgca::GasRule(lgca::GasKind::FHP_II), gens);
+  const lgca::SiteLattice golden = golden_for({side, side});
 
   std::printf("  %lldx%lld FHP-II, %lld generations (depth=%d, seed 7)%s\n\n",
               static_cast<long long>(side), static_cast<long long>(side),
@@ -217,7 +238,9 @@ bool print_tables(std::vector<Result>& out, const std::vector<Scenario>& rows) {
     const core::PerformanceReport r = engine.report();
     const double eff = r.effective_measured_rate;
     if (!row.plan.armed()) clean_rate[bi] = eff;
-    const bool exact = engine.state() == golden;
+    const bool exact = row.wide_height > 0
+                           ? engine.state() == golden_for(scenario_extent(row))
+                           : engine.state() == golden;
     all_ok = all_ok && exact;
     std::printf(
         "  %-30s %5lld %5lld %4lld %5lld %6d %4lld %4lld %12.3e %7.0f%% %6s\n",
@@ -261,7 +284,13 @@ bool write_json(const std::vector<Result>& results) {
     w.begin_object();
     w.field("scenario", res.scenario->slug);
     w.field("backend", backend_name(res.scenario->backend));
-    w.field("side", bench_side());
+    if (res.scenario->wide_height > 0) {
+      const Extent e = scenario_extent(*res.scenario);
+      w.field("width", e.width);
+      w.field("height", e.height);
+    } else {
+      w.field("side", bench_side());
+    }
     w.field("generations", bench_gens());
     w.field("injected", r.faults_injected);
     w.field("detected", r.faults_detected);
