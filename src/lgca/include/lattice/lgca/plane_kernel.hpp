@@ -4,7 +4,8 @@
 // fused gather + one 256-entry table read per site, PlaneKernel goes
 // one level further: it evaluates the collision rules themselves as
 // boolean algebra on whole words of sites. Propagation is a funnel
-// shift per channel plane (the guard-word halo makes it branch-free),
+// shift per channel plane (branch-free: a wide row reads its guard-word
+// halo, a compact row selects its wrapped word per position),
 // collision is a fixed expression of ANDs/ORs/NOTs derived from the
 // exact-configuration structure of the HPP and FHP rules, and the
 // chirality variants arrive a word at a time (GasModel::chirality_word,
@@ -21,15 +22,18 @@
 //
 // The span covers rows two ways, and the shape alone picks which. A
 // row of at least PlaneLattice::kRowPad payload words is a row span,
-// swept in column tiles. A band of compact rows (fewer words, stored
-// at stride words + 2) is one flat run: every row whose taps stay
-// inside the lattice — all but its first and last row — in one span
-// call over payload and guard words alike, tap (dx, dy) an offset
-// dy · stride plus the funnel shift, the guard words stored as zero,
-// and the hex diagonals' shift picked per word by row parity. Such a
-// band fills whole vector blocks where a one-word row would leave all
-// of itself to the scalar tail, and pays the span's setup once instead
-// of per row. The trapezoid tile step's window rows stay row spans.
+// swept in column tiles, its shifts reading the guard halo. A band of
+// compact rows (fewer words, stored dense at stride = words) is one
+// run: every row whose taps stay inside the lattice — all but its
+// first and last row — in one span call over their words, tap (dx, dy)
+// an offset dy · words plus the funnel shift, the row's other end
+// shifted in where a shift crosses a row end (zero under Null), and
+// the hex diagonals' shift picked per word by row parity. Such a band
+// fills whole vector blocks where a one-word row would leave all of
+// itself to the scalar tail, and pays the span's setup once instead of
+// per row. The lattice's edge rows and the trapezoid tile step's
+// window rows are one-row runs with their taps resolved, so a compact
+// lattice makes no row-span call and has no halo to fill.
 //
 // The runners declared here (and the tiled ones in temporal_tile.hpp)
 // are instances of the one runner of the band/trapezoid scheduler
@@ -98,7 +102,8 @@ class PlaneKernel {
 
   /// Bitmask of the planes the update gathers with a column shift
   /// (tap dx != 0 on either row parity) — the only planes whose shift
-  /// halo must be current before update_rows reads them. Rest and
+  /// halo (on wide rows) must be current before update_rows reads
+  /// them. Rest and
   /// obstacle are always read unshifted; for HPP even the N/S channel
   /// planes drop out, leaving just E/W.
   std::uint32_t halo_planes() const noexcept { return halo_; }
@@ -112,16 +117,16 @@ class PlaneKernel {
   void prime_static_planes(PlaneLattice& lat, PlaneLattice& next) const;
 
   /// Compute generation-(t+1) rows [y0, y1) of `next` from the
-  /// generation-t lattice `cur`, whose shift halo must have been
-  /// prepared for halo_planes() (PlaneLattice::prepare_shift_halo),
+  /// generation-t lattice `cur`, whose shift halo (wide rows) must have
+  /// been prepared for halo_planes() (PlaneLattice::prepare_shift_halo),
   /// and whose static planes must have been primed. Wide rows are
   /// column-tiled so the three source row strips plus the destination
   /// strip stay cache resident; tile_words == 0 picks the default
-  /// L2-sized tile. Compact rows run as one flat run (the header
-  /// comment), which tile_words does not split. On return the produced
-  /// rows of `next` are halo-ready for the following generation — the
-  /// fill happens here, band-locally and cache-hot, rather than as a
-  /// serial full-lattice walk between generations. Runs at the
+  /// L2-sized tile. Compact rows run as one run (the header comment),
+  /// which tile_words does not split. On return the produced wide rows
+  /// of `next` are halo-ready for the following generation — the fill
+  /// happens here, band-locally and cache-hot, rather than as a serial
+  /// full-lattice walk between generations. Runs at the
   /// process-wide active SIMD level (plane_simd_active). Bit-identical
   /// to GasRule::apply per site.
   void update_rows(PlaneLattice& next, const PlaneLattice& cur,
@@ -139,7 +144,8 @@ class PlaneKernel {
   /// golden update bit-exactly. Source rows resolve as src_y + tap.dy
   /// against cur's own height and boundary (out-of-range reads zero
   /// under Null); the caller guarantees that resolution lands on rows
-  /// holding generation-t content whose shift halo is current.
+  /// holding generation-t content whose shift halo (wide rows) is
+  /// current.
   /// update_rows is exactly this with dst_y == src_y == sem_y.
   void update_row_window(PlaneLattice& next, std::int64_t dst_y,
                          const PlaneLattice& cur, std::int64_t src_y,

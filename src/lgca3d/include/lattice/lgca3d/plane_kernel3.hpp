@@ -2,7 +2,7 @@
 //
 // Same construction as the 2-D PlaneKernel, one dimension up:
 // propagation is a funnel shift on the ±x channel planes (identical
-// word structure to 2-D — the guard-word halo makes it branch-free)
+// word structure to 2-D, and branch-free the same way)
 // plus whole-row reads of the y/z neighbor rows, and collision is
 // boolean algebra derived from the class structure of Gas3Model's
 // table. That structure splits cleanly:
@@ -30,13 +30,14 @@
 // (cubic_word in src/lgca/src/plane_span.inc), reached through
 // PlaneSpanOps::cubic at the active SIMD level. A row never fills a
 // vector block at the shapes that matter (a 192-wide row is 3 payload
-// words), so the span runs across rows: a z-plane's compact rows are
-// one dense word range per plane, and its interior rows (all but y = 0
-// and y = ny - 1, whose ±y taps wrap or read zero) are one flat run —
-// the ±y taps an offset of ±stride, the ±z taps the same rows of the
-// neighbouring z-planes. Rows of 8 or more words, the y-edge rows and
-// every row of a z-edge plane under Null (whose missing neighbour
-// plane is a single zero row, not a plane) are row spans. Every fault
+// words, stored dense), so the span runs across rows: a z-plane's
+// compact rows are one word range per plane, and its interior rows
+// (all but y = 0 and y = ny - 1, whose ±y taps wrap or read zero) are
+// one run — the ±y taps an offset of ±words, the ±z taps the same rows
+// of the neighbouring z-planes, or of the zero plane past a Null
+// volume's z edge. The y-edge rows are one-row runs with their taps
+// resolved, so a compact volume makes no row-span call; rows of 8 or
+// more words are row spans. Every fault
 // draw is keyed by global (x, y, z) through the flattened inner
 // lattice, so the run is bit-identical at every SIMD level. Bit-
 // identical to lgca3d::reference_step per site, by construction, by a
@@ -81,10 +82,10 @@ class PlaneKernel3 {
   std::uint32_t halo_planes() const noexcept { return 0x03u; }
 
   /// Compute generation-(t+1) z-planes [z0, z1) of `next` from the
-  /// generation-t lattice `cur`, whose ±x shift halo must be current
-  /// (prepare_shift_halo) and whose static planes must be primed. On
-  /// return the produced z-planes of `next` are halo-ready for the
-  /// following generation.
+  /// generation-t lattice `cur`, whose ±x shift halo (wide rows) must
+  /// be current (prepare_shift_halo) and whose static planes must be
+  /// primed. On return the produced z-planes of a wide `next` are
+  /// halo-ready for the following generation.
   void update_planes(PlaneLattice3& next, const PlaneLattice3& cur,
                      std::int64_t t, std::int64_t z0, std::int64_t z1) const;
 
@@ -97,7 +98,8 @@ class PlaneKernel3 {
   /// taps have no parity structure. Source z-planes resolve as
   /// src_z ± 1 against cur's own depth and boundary (out-of-range
   /// reads zero under Null); y taps resolve within the z-plane, x taps
-  /// through the shift halo. update_planes is exactly this with
+  /// through the shift halo or the run's wrap. update_planes is exactly
+  /// this with
   /// dst_z == src_z == sem_z. Does NOT fill the produced plane's
   /// halo — the callers decide between band-local and per-plane fills.
   void update_plane_window(PlaneLattice3& next, std::int64_t dst_z,
