@@ -27,18 +27,23 @@
 //   buffer_flip=R     byte-pipeline line-buffer flip rate (WSA/SPA/WSA-E)
 //   side_flip=R       SPA side-channel corruption rate
 //   plane_flip=R      bit-plane stored-word flip rate (bitplane backend)
-//   halo_flip=R       bit-plane shift-halo guard-word flip rate
+//   halo_flip=R       bit-plane shift-halo guard-word flip rate; only
+//                     rows of width >= 449 store guard words, so it
+//                     needs --side 449 or more
 //   parity            maintain + verify the parity-shadow plane
 //   stuck_plane=P:W:OR:AND
 //                     persistently stuck plane word (plane P, global
 //                     word W, hex OR/AND masks)
 // Example: --fault-plan seed=7,plane_flip=5e-4,parity
+// A plan the backend cannot realize on the chosen shape is refused
+// with exit 2, as a bad argument is.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "lattice/common/error.hpp"
 #include "lattice/core/engine.hpp"
 #include "lattice/core/metrics_report.hpp"
 #include "lattice/core/tile_plan.hpp"
@@ -83,7 +88,8 @@ struct Options {
       "          [--fault-plan SPEC] [--checkpoint-interval N]\n"
       "          [--max-retries N] [--oracle]\n"
       "SPEC: seed=N,buffer_flip=R,side_flip=R,plane_flip=R,halo_flip=R,\n"
-      "      parity,stuck_plane=P:W:OR:AND  (comma-separated, hex masks)\n",
+      "      parity,stuck_plane=P:W:OR:AND  (comma-separated, hex masks;\n"
+      "      halo_flip needs --side 449 or more)\n",
       argv0);
   std::exit(2);
 }
@@ -202,6 +208,18 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
+// The engine for `config`, or exit 2 with the reason it is refused
+// (say, a fault plan this backend cannot realize on this shape).
+lattice::core::LatticeEngine make_engine(
+    const lattice::core::LatticeEngine::Config& config) {
+  try {
+    return lattice::core::LatticeEngine(config);
+  } catch (const lattice::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
+}
+
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::Reference: return "reference";
@@ -236,7 +254,7 @@ int main(int argc, char** argv) {
   config.checkpoint_interval = opt.checkpoint_interval;
   config.max_retries = opt.max_retries;
   config.oracle_fallback = opt.oracle;
-  lattice::core::LatticeEngine engine(config);
+  lattice::core::LatticeEngine engine = make_engine(config);
   if (lattice::core::backend_is_3d(opt.backend)) {
     // The flat engine state is the Lattice3 raster: fill through the
     // cubic gas's initializer, land with one memcpy.
