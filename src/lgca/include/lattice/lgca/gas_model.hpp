@@ -45,25 +45,42 @@ enum class GasKind { HPP, FHP_I, FHP_II, FHP_III };
 std::string_view gas_kind_name(GasKind k) noexcept;
 
 namespace detail {
-/// The chirality hash, written once for the 2-D gases (at z = 0) and
-/// the cubic gas (lgca3d::Gas3Model): a 64-site word's coordinates,
-/// each times its own odd constant, through splitmix64's finalizer.
-/// Every output bit depends on every input bit, so all 64 bits of the
-/// word are usable draws (a single multiply would leave the low output
-/// bits a function of the low input bits alone).
-constexpr std::uint64_t chirality_mix(std::int64_t w, std::int64_t y,
-                                      std::int64_t z,
-                                      std::int64_t t) noexcept {
-  std::uint64_t h = static_cast<std::uint64_t>(w) * 0x9e3779b97f4a7c15ULL ^
-                    static_cast<std::uint64_t>(y) * 0xc2b2ae3d27d4eb4fULL ^
-                    static_cast<std::uint64_t>(z) * 0xd6e8feb86659fd93ULL ^
-                    static_cast<std::uint64_t>(t) * 0x165667b19e3779f9ULL;
+/// The chirality hash's coordinate multipliers: word index w, row y,
+/// plane z and generation t, each its own odd constant.
+inline constexpr std::uint64_t kChiralW = 0x9e3779b97f4a7c15ULL;
+inline constexpr std::uint64_t kChiralY = 0xc2b2ae3d27d4eb4fULL;
+inline constexpr std::uint64_t kChiralZ = 0xd6e8feb86659fd93ULL;
+inline constexpr std::uint64_t kChiralT = 0x165667b19e3779f9ULL;
+
+/// splitmix64's finalizer, lane-wise over a word type V: std::uint64_t
+/// here, and the span's vector word in plane_span.inc, which hashes
+/// every lane of a vector at once. Always inlined, so no TU emits an
+/// out-of-line copy built with its ISA flags.
+template <class V>
+[[gnu::always_inline]] constexpr V chirality_finish(V h) noexcept {
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 27;
   h *= 0x94d049bb133111ebULL;
   h ^= h >> 31;
   return h;
+}
+
+/// The chirality hash, written once for the 2-D gases (at z = 0) and
+/// the cubic gas (lgca3d::Gas3Model): a 64-site word's coordinates,
+/// each times its own odd constant, through splitmix64's finalizer.
+/// Every output bit depends on every input bit, so all 64 bits of the
+/// word are usable draws (a single multiply would leave the low output
+/// bits a function of the low input bits alone). The products are taken
+/// mod 2^64, so a span may add them up from parts (k·A + l·A for lane
+/// l of word k) and hash the same input.
+constexpr std::uint64_t chirality_mix(std::int64_t w, std::int64_t y,
+                                      std::int64_t z,
+                                      std::int64_t t) noexcept {
+  return chirality_finish(static_cast<std::uint64_t>(w) * kChiralW ^
+                          static_cast<std::uint64_t>(y) * kChiralY ^
+                          static_cast<std::uint64_t>(z) * kChiralZ ^
+                          static_cast<std::uint64_t>(t) * kChiralT);
 }
 }  // namespace detail
 

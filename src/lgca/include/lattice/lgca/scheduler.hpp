@@ -21,9 +21,13 @@
 //   kernel                       the kernel the operations call
 //   sites(lat), units(lat)       site and unit counts
 //   periodic(lat)                the boundary
-//   scratch(lat, n)              a zeroed lattice of n units, lat's
-//                                width and boundary (also the double
-//                                buffer, at n = units(lat))
+//   scratch(lat, n)              a lattice of n units, lat's width and
+//                                boundary (also the double buffer, at
+//                                n = units(lat)): zeroed byte storage,
+//                                or plane storage on loan from the
+//                                running thread's spares
+//                                (detail::take_spare), which the
+//                                runner gives back when it is done
 //   update(next, cur, t, u0, u1)
 //                                the band update: units [u0, u1) of
 //                                next from cur, left halo-ready
@@ -47,6 +51,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "lattice/common/grid.hpp"
 #include "lattice/common/thread_pool.hpp"
@@ -73,6 +79,62 @@ struct BitplaneObs {
   static const BitplaneObs& get();
 };
 
+namespace detail {
+
+/// Plane lattices a thread keeps spare, per lattice type: a run's
+/// packed planes, its double buffer and one tiled lane's two strips.
+inline constexpr std::size_t kSpareLattices = 4;
+
+/// The running thread's spare plane lattices of type L, oldest first.
+/// Per thread, never per engine: the sessions a worker serves share
+/// its spares, so they cost no memory per session.
+template <class L>
+std::vector<L>& spare_lattices() {
+  thread_local std::vector<L> spares;
+  return spares;
+}
+
+/// A plane lattice's extent and boundary, 2-D or 3-D.
+template <class L>
+auto lattice_shape(const L& l) noexcept {
+  if constexpr (requires { l.extent3(); }) {
+    return std::pair{l.extent3(), l.boundary3()};
+  } else {
+    return std::pair{l.extent(), l.boundary()};
+  }
+}
+
+/// A plane lattice of this extent and boundary for one run: the running
+/// thread's newest spare of that shape, else a new zeroed one, so only
+/// a thread's first run at a shape allocates. A spare holds whatever
+/// its last run left there, so every word a run reads must be written
+/// first in that run (docs/ARCHITECTURE.md, "Where a run's buffers
+/// come from").
+template <class L, class E, class B>
+L take_spare(E extent, B boundary) {
+  std::vector<L>& spares = spare_lattices<L>();
+  for (std::size_t i = spares.size(); i-- > 0;) {
+    if (lattice_shape(spares[i]) == std::pair{extent, boundary}) {
+      L lat = std::move(spares[i]);
+      spares.erase(spares.begin() + static_cast<std::ptrdiff_t>(i));
+      return lat;
+    }
+  }
+  return L(extent, boundary);
+}
+
+/// Give a lattice back to the running thread's spares when its run
+/// ends, dropping the oldest spare if the thread already keeps
+/// kSpareLattices.
+template <class L>
+void give_spare(L lat) {
+  std::vector<L>& spares = spare_lattices<L>();
+  if (spares.size() == kSpareLattices) spares.erase(spares.begin());
+  spares.push_back(std::move(lat));
+}
+
+}  // namespace detail
+
 /// The runner's argument check: throws on a bad thread or generation
 /// count, and returns false when there is nothing to run.
 bool runnable(unsigned threads, std::int64_t generations, std::int64_t sites);
@@ -98,10 +160,11 @@ bool tiling_feasible(const TemporalTiling& tiling, std::int64_t units,
                      Boundary boundary);
 
 /// One-time setup for a double-buffered run: zero the planes outside
-/// `written_planes` in `lat` (the spans never store them, and after
-/// swaps the original buffer resurfaces as output) except the
-/// obstacle plane, which is copied into `next`, tail-masked. After
-/// this, both buffers agree on every static plane for the whole run.
+/// `written_planes` in `lat` and in `next` (the spans never store them,
+/// after swaps the original buffer resurfaces as output, and a spare
+/// `next` may hold another gas's planes there) except the obstacle
+/// plane, which is copied into `next`, tail-masked. After this, both
+/// buffers agree on every static plane for the whole run.
 void prime_static_planes(PlaneLattice& lat, PlaneLattice& next,
                          std::uint32_t written_planes);
 
@@ -132,10 +195,14 @@ inline TileRange lane_tiles(std::int64_t tiles, unsigned lanes,
   return {tiles * lane / lanes, tiles * (lane + 1) / lanes};
 }
 
-/// Allocate the double buffer and, for plane storage, prime the static
-/// planes, fill the generation-t0 shift halo of the shifted planes,
-/// open the hooks and count the run's sites and plane words. Every
-/// later generation's halo is written by the band update itself.
+/// Take the double buffer (a spare, for plane storage) and, for plane
+/// storage, prime the static planes, fill the generation-t0 shift halo
+/// of the shifted planes, open the hooks and count the run's sites and
+/// plane words. Every later generation's halo is written by the band
+/// update itself. A spare double buffer holds its last run's words:
+/// prime_static_planes rewrites its static planes, and the first
+/// generation stores every written plane of every row, and fills the
+/// halo of the shifted ones, before the second reads any.
 template <class A>
 typename A::Lattice begin_run(const A& a, typename A::Lattice& lat,
                               std::int64_t generations, std::int64_t t0,
@@ -173,8 +240,11 @@ void fill_halo(const A& a, typename A::Lattice& lat, std::int64_t u0,
 /// stands for (local unit ls = global unit base + ls) into it. Every
 /// trapezoid step reads the obstacle plane from its source unit, and
 /// it is static for the whole run, so once per block suffices. The
-/// static-zero planes are zero in scratch by construction: allocation
-/// zero-fills and the spans never store them.
+/// static-zero planes of a strip are left as they are: a spare strip
+/// may hold another gas's planes there, but no span reads a plane its
+/// gas neither writes nor takes as the obstacle (the rest load is
+/// gated by HasRest, and HPP gathers channels 0-3 only), and the last
+/// step writes `next`, not a strip.
 template <class A>
 void copy_static(const A& a, typename A::Lattice& scratch,
                  const typename A::Lattice& lat, std::int64_t base,
@@ -257,6 +327,9 @@ void run_tile(const A& a, typename A::Lattice& next,
 /// block back. One lane runs inline: no pool dispatch, no barrier and,
 /// at k = 1, no scratch. A throw from any lane (a hook, a rule) ends
 /// the run for every lane at the same rendezvous and is rethrown here.
+/// Plane storage comes from the spares: the double buffer from the
+/// calling thread's, a tiled lane's two strips from its own thread's,
+/// and each goes back to them when the run or the lane ends.
 template <class A>
 void run_schedule(const A& a, typename A::Lattice& lat,
                   std::int64_t generations, std::int64_t t0, unsigned threads,
@@ -344,9 +417,15 @@ void run_schedule(const A& a, typename A::Lattice& lat,
           }
         }
       };
-      if (hooks != nullptr && !sync.step(inject)) return;
-      if (!sync.step(update)) return;
+      if (hooks != nullptr && !sync.step(inject)) break;
+      if (!sync.step(update)) break;
       std::swap(cur, dst);
+    }
+    if constexpr (A::kPlanes) {
+      if (tiled) {
+        detail::give_spare(std::move(s0));
+        detail::give_spare(std::move(s1));
+      }
     }
   };
   if (lanes == 1) {
@@ -361,30 +440,40 @@ void run_schedule(const A& a, typename A::Lattice& lat,
   // Each lane swapped its own view once per block, so after an odd
   // number of blocks the result is in `next`.
   if (blocks % 2 == 1) std::swap(lat, next);
+  if constexpr (A::kPlanes) detail::give_spare(std::move(next));
 }
 
-/// The byte-storage wrapper of every plane runner: pack once, run, and
-/// unpack once, each stage under its bitplane.pack/update/unpack timer
-/// and trace span. `pack()` returns the packed planes; `run(planes)`
-/// advances them. The transpose is word-parallel, ~2.5 word ops per
-/// site each way, about one scalar FHP-II generation
-/// (docs/PERFORMANCE.md), so it amortizes within a few generations.
-template <class Sites, class Pack, class Run>
-void packed_run(Sites& sites, const Pack& pack, const Run& run) {
+/// The byte-storage wrapper of every plane runner: pack `sites` once
+/// into plane storage L of this extent and boundary, taken from the
+/// running thread's spares, advance it with `run(planes)`, unpack it
+/// once and give it back; each stage runs under its
+/// bitplane.pack/update/unpack timer and trace span. pack() rewrites
+/// every payload word, tail bits included, so a spare's old words
+/// never reach the run, and a steady run allocates nothing. The
+/// transpose is word-parallel, ~2.5 word ops per site each way, about
+/// one scalar FHP-II generation (docs/PERFORMANCE.md), so it amortizes
+/// within a few generations.
+template <class L, class Sites, class E, class B, class Run>
+void packed_run(Sites& sites, E extent, B boundary, const Run& run) {
   const BitplaneObs& ids = BitplaneObs::get();
-  auto planes = [&] {
+  L planes = [&] {
     const obs::ScopedTimer timer(ids.pack_ns);
     const obs::TraceSpan span("bitplane.pack");
-    return pack();
+    L packed = detail::take_spare<L>(extent, boundary);
+    packed.pack(sites);
+    return packed;
   }();
   {
     const obs::ScopedTimer timer(ids.update_ns);
     const obs::TraceSpan span("bitplane.update");
     run(planes);
   }
-  const obs::ScopedTimer timer(ids.unpack_ns);
-  const obs::TraceSpan span("bitplane.unpack");
-  planes.unpack(sites);
+  {
+    const obs::ScopedTimer timer(ids.unpack_ns);
+    const obs::TraceSpan span("bitplane.unpack");
+    planes.unpack(sites);
+  }
+  detail::give_spare(std::move(planes));
 }
 
 }  // namespace lattice::lgca

@@ -57,8 +57,9 @@ void prime_static_planes(PlaneLattice& lat, PlaneLattice& next,
         for (std::int64_t k = 0; k < words; ++k) dst[k] = src[k];
         dst[words - 1] &= tail;
       } else {
-        // Static-zero plane: the update used to clear it every word of
-        // every generation; now it is cleared once in both buffers.
+        // Static-zero plane: cleared once per run in both buffers, not
+        // by the update every generation. `next` needs it too: a spare
+        // may hold a rest plane an FHP-II run left there.
         std::uint64_t* mut = lat.row(p, y);
         for (std::int64_t k = 0; k < words; ++k) mut[k] = 0;
         for (std::int64_t k = 0; k < words; ++k) dst[k] = 0;
@@ -83,7 +84,8 @@ struct PlaneRows {
   }
   static auto& flat(auto& l) { return l; }
   static PlaneLattice scratch(const PlaneLattice& l, std::int64_t rows) {
-    return PlaneLattice({l.extent().width, rows}, l.boundary());
+    return detail::take_spare<PlaneLattice>(Extent{l.extent().width, rows},
+                                            l.boundary());
   }
   void update(PlaneLattice& next, const PlaneLattice& cur, std::int64_t t,
               std::int64_t y0, std::int64_t y1) const {
@@ -174,11 +176,11 @@ void bitplane_gas_run(SiteLattice& lat, const PlaneKernel& kernel,
                       std::int64_t generations, std::int64_t t0,
                       unsigned threads, std::int64_t band_grain_words,
                       PlaneRunHooks* hooks) {
-  const auto pack = [&] { return PlaneLattice(lat); };
-  packed_run(lat, pack, [&](PlaneLattice& planes) {
+  const auto run = [&](PlaneLattice& planes) {
     plane_gas_run(planes, kernel, generations, t0, threads, band_grain_words,
                   hooks);
-  });
+  };
+  packed_run<PlaneLattice>(lat, lat.extent(), lat.boundary(), run);
 }
 
 bool temporal_tiling_feasible(const TemporalTiling& tiling, Extent extent,
@@ -198,11 +200,11 @@ void bitplane_gas_run_tiled(SiteLattice& lat, const PlaneKernel& kernel,
                             std::int64_t generations, std::int64_t t0,
                             unsigned threads, const TemporalTiling& tiling,
                             PlaneRunHooks* hooks) {
-  const auto pack = [&] { return PlaneLattice(lat); };
-  packed_run(lat, pack, [&](PlaneLattice& planes) {
+  const auto run = [&](PlaneLattice& planes) {
     plane_gas_run_tiled(planes, kernel, generations, t0, threads, tiling,
                         hooks);
-  });
+  };
+  packed_run<PlaneLattice>(lat, lat.extent(), lat.boundary(), run);
 }
 
 void fused_gas_run(SiteLattice& lat, const CollisionLut& lut,

@@ -126,7 +126,8 @@ struct PlaneSlabs {
   }
   static auto& flat(auto& l) { return l.inner(); }
   static PlaneLattice3 scratch(const PlaneLattice3& l, std::int64_t nz) {
-    return PlaneLattice3({l.extent3().nx, l.extent3().ny, nz}, l.boundary3());
+    return lgca::detail::take_spare<PlaneLattice3>(
+        Extent3{l.extent3().nx, l.extent3().ny, nz}, l.boundary3());
   }
   void update(PlaneLattice3& next, const PlaneLattice3& cur, std::int64_t t,
               std::int64_t z0, std::int64_t z1) const {
@@ -138,13 +139,6 @@ struct PlaneSlabs {
     kernel.update_plane_window(dst, dst_z, cur, src_z, sem_z, t);
   }
 };
-
-/// The engine's flat {nx, ny*nz} byte view, packed straight into planes.
-PlaneLattice3 pack_flat(const lgca::SiteLattice& lat, Extent3 extent) {
-  PlaneLattice3 planes(extent, to_boundary3(lat.boundary()));
-  planes.pack(lat);
-  return planes;
-}
 
 }  // namespace
 
@@ -174,20 +168,20 @@ void bitplane_gas_run3(Lattice3& lat, std::int64_t generations,
                        std::int64_t t0, unsigned threads,
                        std::int64_t band_grain_words,
                        lgca::PlaneRunHooks* hooks) {
-  const auto pack = [&] { return PlaneLattice3(lat); };
-  lgca::packed_run(lat, pack, [&](PlaneLattice3& planes) {
+  const auto run = [&](PlaneLattice3& planes) {
     plane_gas_run3(planes, generations, t0, threads, band_grain_words, hooks);
-  });
+  };
+  lgca::packed_run<PlaneLattice3>(lat, lat.extent(), lat.boundary(), run);
 }
 
 void bitplane_gas_run_tiled3(Lattice3& lat, std::int64_t generations,
                              std::int64_t t0, unsigned threads,
                              const lgca::TemporalTiling& tiling,
                              lgca::PlaneRunHooks* hooks) {
-  const auto pack = [&] { return PlaneLattice3(lat); };
-  lgca::packed_run(lat, pack, [&](PlaneLattice3& planes) {
+  const auto run = [&](PlaneLattice3& planes) {
     plane_gas_run_tiled3(planes, generations, t0, threads, tiling, hooks);
-  });
+  };
+  lgca::packed_run<PlaneLattice3>(lat, lat.extent(), lat.boundary(), run);
 }
 
 void bitplane_gas_run3(lgca::SiteLattice& lat, Extent3 extent,
@@ -196,10 +190,12 @@ void bitplane_gas_run3(lgca::SiteLattice& lat, Extent3 extent,
                        lgca::PlaneRunHooks* hooks) {
   LATTICE_REQUIRE(lat.extent() == flat_extent(extent),
                   "bitplane_gas_run3: flattened extent mismatch");
-  const auto pack = [&] { return pack_flat(lat, extent); };
-  lgca::packed_run(lat, pack, [&](PlaneLattice3& planes) {
+  const auto run = [&](PlaneLattice3& planes) {
     plane_gas_run3(planes, generations, t0, threads, band_grain_words, hooks);
-  });
+  };
+  // The engine's flat {nx, ny*nz} byte view packs straight into planes.
+  lgca::packed_run<PlaneLattice3>(lat, extent, to_boundary3(lat.boundary()),
+                                  run);
 }
 
 void bitplane_gas_run_tiled3(lgca::SiteLattice& lat, Extent3 extent,
@@ -209,10 +205,11 @@ void bitplane_gas_run_tiled3(lgca::SiteLattice& lat, Extent3 extent,
                              lgca::PlaneRunHooks* hooks) {
   LATTICE_REQUIRE(lat.extent() == flat_extent(extent),
                   "bitplane_gas_run_tiled3: flattened extent mismatch");
-  const auto pack = [&] { return pack_flat(lat, extent); };
-  lgca::packed_run(lat, pack, [&](PlaneLattice3& planes) {
+  const auto run = [&](PlaneLattice3& planes) {
     plane_gas_run_tiled3(planes, generations, t0, threads, tiling, hooks);
-  });
+  };
+  lgca::packed_run<PlaneLattice3>(lat, extent, to_boundary3(lat.boundary()),
+                                  run);
 }
 
 }  // namespace lattice::lgca3d

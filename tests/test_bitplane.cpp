@@ -391,7 +391,8 @@ TEST_P(BitPlaneGasTest, FlatRunsMatchReferenceAtEachLevel) {
   // word, around each word-aligned compact width (where the wrap
   // switches between a tail-bit shift and a whole-word one, and 64
   // rotates), 7 words (the widest compact row) and 8; both boundaries
-  // with an obstacle; even and odd t0; one thread and three at band
+  // with an obstacle; even and odd t0, and a t0 past 2^32, whose hash
+  // input needs all 64 bits of its t term; one thread and three at band
   // grain 1.
   const GasRule rule(GetParam());
   const PlaneKernel& kernel = PlaneKernel::get(GetParam());
@@ -399,7 +400,8 @@ TEST_P(BitPlaneGasTest, FlatRunsMatchReferenceAtEachLevel) {
     for (const std::int64_t height : {1, 2, 3, 4, 5, 64}) {
       for (const std::int64_t width :
            {1, 63, 64, 65, 127, 128, 129, 191, 192, 193, 384, 448, 449}) {
-        for (const std::int64_t t0 : {0, 7}) {
+        for (const std::int64_t t0 :
+             {std::int64_t{0}, std::int64_t{7}, (std::int64_t{1} << 40) + 7}) {
           SiteLattice start({width, height}, b);
           fill_random(start, rule.model(), 0.35,
                       static_cast<std::uint64_t>(width * 131 + height), 0.2);

@@ -359,7 +359,8 @@ TEST(PlaneKernel3, EveryLevelMatchesTheGoldenUpdater) {
   // 2), a one-row interior (3), a short run (5) and one long enough for
   // a second chunk (19); depths whose z-edge planes are row spans under
   // Null (all of them at nz <= 2); both boundaries, obstacles, an odd
-  // t0, and three z-slab bands at grain 1 for the deeper volumes.
+  // t0 and one past 2^32, whose hash input needs all 64 bits of its t
+  // term; and three z-slab bands at grain 1 for the deeper volumes.
   for (const Boundary3 b : {Boundary3::Null, Boundary3::Periodic}) {
     for (const std::int64_t nx : {1, 63, 64, 65, 192, 448, 449}) {
       for (const std::int64_t ny : {1, 2, 3, 5, 19}) {
@@ -368,19 +369,22 @@ TEST(PlaneKernel3, EveryLevelMatchesTheGoldenUpdater) {
           fill_random(start, 0.3, static_cast<std::uint64_t>(nx * 31 + ny));
           start.at({nx / 2, ny / 2, nz / 2}) = lgca::kObstacleBit;
           start.at({0, ny - 1, 0}) = lgca::kObstacleBit;
-          Lattice3 want = start;
-          reference_run(want, 3, 5);
-          for (const lgca::SimdLevel level :
-               {lgca::SimdLevel::Scalar, lgca::SimdLevel::Avx2,
-                lgca::SimdLevel::Avx512}) {
-            if (!lgca::simd_supported(level)) continue;
-            const lgca::ScopedSimdLevel pin(level);
-            Lattice3 got = start;
-            bitplane_gas_run3(got, 3, 5, nz == 3 ? 3 : 1, 1);
-            ASSERT_TRUE(got == want)
-                << nx << "x" << ny << "x" << nz << " level "
-                << lgca::to_string(level)
-                << (b == Boundary3::Null ? " null" : " periodic");
+          for (const std::int64_t t0 :
+               {std::int64_t{5}, (std::int64_t{1} << 40) + 7}) {
+            Lattice3 want = start;
+            reference_run(want, 3, t0);
+            for (const lgca::SimdLevel level :
+                 {lgca::SimdLevel::Scalar, lgca::SimdLevel::Avx2,
+                  lgca::SimdLevel::Avx512}) {
+              if (!lgca::simd_supported(level)) continue;
+              const lgca::ScopedSimdLevel pin(level);
+              Lattice3 got = start;
+              bitplane_gas_run3(got, 3, t0, nz == 3 ? 3 : 1, 1);
+              ASSERT_TRUE(got == want)
+                  << nx << "x" << ny << "x" << nz << " t0 " << t0 << " level "
+                  << lgca::to_string(level)
+                  << (b == Boundary3::Null ? " null" : " periodic");
+            }
           }
         }
       }

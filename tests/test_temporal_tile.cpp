@@ -138,6 +138,57 @@ TEST_P(TemporalTileGasTest, NonzeroTimeOriginAndChunkingAreInvariant) {
   EXPECT_TRUE(got == want) << kind_name(GetParam());
 }
 
+TEST(TemporalTileSpares, ReusedBuffersStayExactAcrossGasesAndShapes) {
+  // A run takes its packed planes, its double buffer and each lane's
+  // two strips from its thread's spares, which hold the words the last
+  // run at that shape left: FHP-II's rest plane, another gas's
+  // channels, another obstacle. FHP-II, then FHP-I, then HPP at one
+  // shape on this thread makes each run reuse the last one's buffers,
+  // so a static plane a run fails to rewrite shows as a flipped bit.
+  // Odd and even block counts leave the result in either buffer, and
+  // two lanes reuse a pool worker's strips as well.
+  const TemporalTiling tiling{3, 8};
+  for (const Extent e : {Extent{520, 40}, Extent{64, 64}}) {
+    for (const Boundary b : {Boundary::Null, Boundary::Periodic}) {
+      ASSERT_TRUE(temporal_tiling_feasible(tiling, e, b));
+      for (const std::int64_t gens : {std::int64_t{7}, std::int64_t{6}}) {
+        for (const unsigned threads : {1u, 2u}) {
+          for (const GasKind kind :
+               {GasKind::FHP_II, GasKind::FHP_I, GasKind::HPP}) {
+            const GasRule rule(kind);
+            const std::uint64_t seed = 17 + static_cast<std::uint64_t>(kind);
+            const SiteLattice start = seeded(e, b, rule.model(), seed);
+            SiteLattice want = start;
+            reference_run(want, rule, gens);
+            SiteLattice got = start;
+            bitplane_gas_run_tiled(got, PlaneKernel::get(kind), gens, 0,
+                                   threads, tiling);
+            ASSERT_TRUE(got == want)
+                << kind_name(kind) << " " << e.width << "x" << e.height
+                << " generations " << gens << " threads " << threads
+                << (b == Boundary::Null ? " null" : " periodic");
+          }
+        }
+      }
+    }
+  }
+  // Two volumes of one shape with different obstacles: the second run
+  // reuses the first one's buffers, obstacle plane included.
+  const lgca3d::Extent3 e3{70, 6, 24};
+  for (const unsigned threads : {1u, 2u}) {
+    for (const std::int64_t seed : {1, 2}) {
+      lgca3d::Lattice3 start(e3, lgca3d::Boundary3::Periodic);
+      lgca3d::fill_random(start, 0.3, static_cast<std::uint64_t>(seed));
+      start.at({10 * seed, 2, 3 * seed}) = kObstacleBit;
+      lgca3d::Lattice3 want = start;
+      lgca3d::reference_run(want, 7);
+      lgca3d::Lattice3 got = start;
+      lgca3d::bitplane_gas_run_tiled3(got, 7, 0, threads, {3, 4});
+      ASSERT_TRUE(got == want) << "volume " << seed << " threads " << threads;
+    }
+  }
+}
+
 TEST(TemporalTileFused, AllGasesMatchPlainFusedRun) {
   // The byte-LUT path covers FHP-III too (no plane kernel exists).
   for (const GasKind kind : {GasKind::HPP, GasKind::FHP_I, GasKind::FHP_II,

@@ -288,13 +288,10 @@ int main(int argc, char** argv) {
   if (lattice::core::backend_is_3d(opt.backend)) {
     std::printf("nz                %lld\n", static_cast<long long>(opt.nz));
   }
-  if (opt.backend == Backend::BitPlane) {
+  if (opt.backend == Backend::BitPlane || opt.backend == Backend::BitPlane3) {
+    // The 2-D and the 3-D spans share one dispatch level.
     std::printf("simd              %s\n",
                 lattice::lgca::to_string(lattice::lgca::plane_simd_active()));
-  }
-  if (opt.backend == Backend::BitPlane3) {
-    // The 3-D spans are scalar64-only by design (plane_kernel3.hpp).
-    std::printf("simd              scalar64\n");
   }
   if (opt.tile_generations != 1 &&
       (opt.backend == Backend::BitPlane || opt.backend == Backend::Reference ||
